@@ -2,10 +2,12 @@
 
 The engine is deliberately small: a Tensor wrapping an ndarray, a Tape
 recording executed primitives in order, and exactly the operations the
-embedding network needs (dilated 1-d convolution, dense layers, batch
-normalization, statistics pooling lives in stats.py, the two losses, and
-a handful of glue ops). Backward runs the tape once in reverse; every
-op's backward closure accumulates into the gradients of its inputs.
+embedding network needs (dilated 1-d convolution and dense layers, both
+with an optional built-in relu, batch normalization over [N, F] or
+[N, T, F], statistics pooling lives in stats.py, the two losses, and a
+handful of glue ops). Backward runs the tape once in reverse; every op's
+backward closure accumulates into the gradients of its inputs, and the
+first write to a gradient stores a copy, never the caller's array.
 
 Ops are pure functions of their explicit inputs plus the tape. Passing
 tape=None runs forward only, which is the inference path.
@@ -110,12 +112,23 @@ def _wants_grad(t: Tensor) -> bool:
     return t.requires_grad or t._tape is not None
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g into t.grad.
+
+    The first write stores a copy of g, not g itself: one array may be
+    handed to several inputs (add does), and a later in-place += on one
+    gradient must not leak into another. fresh=True promises that g is a
+    new array no one else holds, so the first write keeps it as it is.
+    """
     if not _wants_grad(t):
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        if fresh and g.shape == t.data.shape and g.dtype == t.data.dtype:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -147,15 +160,20 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
-                   tape: Tape | None = None) -> Tensor:
-    """Valid cross-correlation along time with a dilated kernel.
+                   tape: Tape | None = None, activation: str = "none") -> Tensor:
+    """Valid cross-correlation along time with a dilated kernel, with an
+    optional built-in relu.
 
     inp is [T, C_in] or batched [N, T, C_in]; weight is [C_out, C_in, k];
     bias is [C_out]. No padding: the output keeps T - (k-1)*dilation
-    frames. Kernel taps are applied in index order (no flip).
+    frames. Kernel taps are applied in index order (no flip). The relu
+    runs in place on the matmul output, and its backward masks the
+    incoming gradient by the positive outputs.
     """
     if not isinstance(dilation, int) or dilation < 1:
         raise ConfigurationError(f"dilation must be a positive integer, got {dilation!r}")
+    if activation not in ("none", "relu"):
+        raise ConfigurationError(f"unknown activation {activation!r}")
     if weight.data.ndim != 3:
         raise ConfigurationError(f"conv weight must be [C_out, C_in, k], got shape {weight.data.shape}")
     batched = inp.data.ndim == 3
@@ -173,26 +191,38 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
         raise InputTooShortError(f"conv needs at least {span} frames for k={k}, dilation={dilation}; got {t}")
     t_out = t - (k - 1) * dilation
 
-    # im2col: one contiguous time slice per kernel tap, then a single matmul.
-    cols = np.stack([x[:, j * dilation: j * dilation + t_out, :] for j in range(k)], axis=2)
-    cols_flat = np.ascontiguousarray(cols).reshape(n * t_out, k * c_in)
+    # im2col: one contiguous time slice per kernel tap, then a single
+    # matmul. A one-tap kernel needs no copy: the input is its own im2col.
+    if k == 1:
+        cols_flat = x.reshape(n * t_out, c_in)
+    else:
+        cols_flat = np.stack([x[:, j * dilation: j * dilation + t_out, :] for j in range(k)],
+                             axis=2).reshape(n * t_out, k * c_in)
     w_flat = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    y = cols_flat @ w_flat.T + bias.data
-    out = Tensor(y.reshape(n, t_out, c_out) if batched else y.reshape(t_out, c_out))
+    y = cols_flat @ w_flat.T
+    y += bias.data
+    if activation == "relu":
+        np.maximum(y, 0, out=y)
+    out = Tensor(y.reshape(n, t_out, c_out) if batched else y)
 
     if tape is not None:
         def bwd(g: np.ndarray) -> None:
             g_flat = g.reshape(n * t_out, c_out)
+            if activation == "relu":
+                g_flat = g_flat * (y > 0)
             _accumulate(bias, g_flat.sum(axis=0))
             if _wants_grad(weight):
                 gw = (g_flat.T @ cols_flat).reshape(c_out, k, c_in).transpose(0, 2, 1)
                 _accumulate(weight, gw)
             if _wants_grad(inp):
                 g_cols = (g_flat @ w_flat).reshape(n, t_out, k, c_in)
-                gx = np.zeros_like(x)
-                for j in range(k):
-                    gx[:, j * dilation: j * dilation + t_out, :] += g_cols[:, :, j, :]
-                _accumulate(inp, gx if batched else gx[0])
+                if k == 1:
+                    gx = g_cols.reshape(n, t, c_in)
+                else:
+                    gx = np.zeros_like(x)
+                    for j in range(k):
+                        gx[:, j * dilation: j * dilation + t_out, :] += g_cols[:, :, j, :]
+                _accumulate(inp, gx if batched else gx[0], fresh=True)
         tape.record(out, bwd)
     return out
 
@@ -248,14 +278,19 @@ def reshape(inp: Tensor, shape: tuple[int, ...], tape: Tape | None = None) -> Te
     return out
 
 
-def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
+def add(a: Tensor, b: Tensor, tape: Tape | None = None,
+        weights: tuple[float, float] = (1.0, 1.0)) -> Tensor:
+    """Elementwise weights[0] * a + weights[1] * b; a plain sum by default."""
     if a.data.shape != b.data.shape:
         raise ConfigurationError(f"add needs matching shapes, got {a.data.shape} and {b.data.shape}")
-    out = Tensor(a.data + b.data)
+    wa, wb = weights
+    out = Tensor(a.data * wa + b.data * wb)
     if tape is not None:
         def bwd(g: np.ndarray) -> None:
-            _accumulate(a, g)
-            _accumulate(b, g)
+            if _wants_grad(a):
+                _accumulate(a, g * wa)
+            if _wants_grad(b):
+                _accumulate(b, g * wb)
         tape.record(out, bwd)
     return out
 
@@ -289,53 +324,68 @@ class BatchNormState:
 
 def batchnorm1d(inp: Tensor, gamma: Tensor, beta: Tensor, mode: str,
                 running: BatchNormState, tape: Tape | None = None) -> Tensor:
-    """Per-feature normalization over the rows of a [N, F] input.
+    """Per-feature normalization of an [N, F] or [N, T, F] input.
 
-    Train mode normalizes by batch statistics (biased variance) and
-    folds them into the running averages; infer mode normalizes by the
-    running statistics and mutates nothing.
+    Statistics run over every leading axis, so a frame-layer output
+    [N, T, F] is normalized over its N * T frames without a reshape op.
+    Train mode normalizes by batch statistics (two-pass, biased variance)
+    and folds them into the running averages; infer mode normalizes by
+    the running statistics and mutates nothing.
     """
     if mode not in ("train", "infer"):
         raise ConfigurationError(f"unknown batchnorm mode {mode!r}")
-    if inp.data.ndim != 2:
-        raise ConfigurationError(f"batchnorm input must be [N, F], got shape {inp.data.shape}")
-    x = inp.data
-    f = x.shape[1]
+    if inp.data.ndim not in (2, 3):
+        raise ConfigurationError(f"batchnorm input must be [N, F] or [N, T, F], got shape {inp.data.shape}")
+    f = inp.data.shape[-1]
+    x = inp.data.reshape(-1, f)
+    rows = x.shape[0]
     if gamma.data.shape != (f,) or beta.data.shape != (f,):
         raise ConfigurationError(f"gamma/beta must have shape ({f},)")
     if running.mean.shape != (f,):
         raise ConfigurationError(f"running stats sized {running.mean.shape} do not match {f} features")
 
     if mode == "train":
-        if x.shape[0] < 2:
-            raise BatchTooSmallError(f"batchnorm in train mode needs >= 2 rows, got {x.shape[0]}")
+        if rows < 2:
+            raise BatchTooSmallError(f"batchnorm in train mode needs >= 2 rows, got {rows}")
+        # Two passes: the variance of the centred array, never
+        # E[x^2] - mean^2, which cancels in float32. einsum sums the
+        # squares without a full-size temporary.
         mu = x.mean(axis=0)
-        var = x.var(axis=0)
-        inv = 1.0 / np.sqrt(var + running.eps)
-        xhat = (x - mu) * inv
+        xc = x - mu
+        var = np.einsum("ij,ij->j", xc, xc) / rows
         m = running.momentum
         running.mean = m * running.mean + (1.0 - m) * mu
         running.var = m * running.var + (1.0 - m) * var
     else:
-        inv = 1.0 / np.sqrt(running.var + running.eps)
-        xhat = (x - running.mean) * inv
-    out = Tensor(gamma.data * xhat + beta.data)
+        mu, var = running.mean, running.var
+        xc = x - mu
+    inv = 1.0 / np.sqrt(var + running.eps)
+    y = xc * (gamma.data * inv)
+    y += beta.data
+    out = Tensor(y.reshape(inp.data.shape))
 
     if tape is not None:
-        if mode == "train":
-            def bwd(g: np.ndarray) -> None:
-                _accumulate(beta, g.sum(axis=0))
-                _accumulate(gamma, (g * xhat).sum(axis=0))
-                if _wants_grad(inp):
-                    gxh = g * gamma.data
-                    gx = inv * (gxh - gxh.mean(axis=0) - xhat * (gxh * xhat).mean(axis=0))
-                    _accumulate(inp, gx)
-        else:
-            def bwd(g: np.ndarray) -> None:
-                _accumulate(beta, g.sum(axis=0))
-                _accumulate(gamma, (g * xhat).sum(axis=0))
-                if _wants_grad(inp):
-                    _accumulate(inp, g * gamma.data * inv)
+        def bwd(g: np.ndarray) -> None:
+            g2 = g.reshape(-1, f)
+            g_sum = g2.sum(axis=0)
+            gxc_sum = np.einsum("ij,ij->j", g2, xc)
+            _accumulate(beta, g_sum)
+            _accumulate(gamma, gxc_sum * inv)
+            if not _wants_grad(inp):
+                return
+            a = gamma.data * inv
+            if mode == "train":
+                # d/dx of gamma * (x - mean) * inv + beta with batch
+                # statistics, folded to a * g + b * xc + c per feature
+                # (Ioffe & Szegedy 2015).
+                b = -a * inv * inv * (gxc_sum / rows)
+                c = -a * (g_sum / rows)
+                gx = xc * b
+                gx += c
+                gx += g2 * a
+            else:
+                gx = g2 * a
+            _accumulate(inp, gx.reshape(inp.data.shape), fresh=True)
         tape.record(out, bwd)
     return out
 

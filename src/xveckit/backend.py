@@ -7,9 +7,9 @@ fit by EM; scoring is the closed-form log-likelihood ratio of the
 same-speaker against the different-speaker hypothesis.
 
 LDA solves the generalized between/within eigenproblem by whitening the
-within-class scatter and running a cyclic Jacobi symmetric
-eigendecomposition; rows of the projection are sign-normalized so the
-largest-magnitude entry is positive.
+within-class scatter and taking the symmetric eigendecomposition
+(numpy.linalg.eigh, LAPACK); rows of the projection are sign-normalized
+so the largest-magnitude entry is positive.
 
 Backends persist in the same binary framing as model checkpoints under
 the magic "XVBK"; embedding archives under "XVEB". Trial files are text
@@ -61,58 +61,6 @@ BACKEND_MAGIC = b"XVBK"
 BACKEND_VERSION = 1
 EMBEDDINGS_MAGIC = b"XVEB"
 EMBEDDINGS_VERSION = 1
-
-
-def _jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted. Sweeps
-    until the off-diagonal Frobenius mass falls below tol times the
-    total, which is quadratic convergence territory for any symmetric
-    input.
-    """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ConfigurationError(f"jacobi needs a square matrix, got shape {a.shape}")
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(2.0 * apq) * 1e153 < abs(diff):
-                    t = apq / diff  # limit of the stable formula; theta would overflow
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    return np.diag(a).copy(), v
 
 
 def _inv(a: np.ndarray, what: str) -> np.ndarray:
@@ -207,13 +155,13 @@ def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocess
         except np.linalg.LinAlgError:
             raise DataError("within-class scatter is singular even after regularization") from None
 
-    w_evals, w_evecs = _jacobi_eigh(s_within)
+    w_evals, w_evecs = np.linalg.eigh(s_within)
     if w_evals.min() <= 0:
         raise DataError("within-class scatter has a non-positive eigenvalue")
     w_inv_half = (w_evecs * (1.0 / np.sqrt(w_evals))) @ w_evecs.T
     m = w_inv_half @ s_between @ w_inv_half
     m = 0.5 * (m + m.T)
-    m_evals, m_evecs = _jacobi_eigh(m)
+    m_evals, m_evecs = np.linalg.eigh(m)
     order = np.argsort(m_evals)[::-1][:lda_dim]
     projection = (w_inv_half @ m_evecs[:, order]).T
     # one deterministic sign per row: largest-magnitude entry positive

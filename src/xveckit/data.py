@@ -296,7 +296,8 @@ def make_batches(manifest: Manifest, crop_length: int, batch_size: int,
     Deterministic in (seed, epoch): the same pair yields the same batch
     stream. Utterances shorter than crop_length are skipped with a
     warning; a trailing group smaller than batch_size is dropped.
-    Reconstruction targets are computed on exactly the cropped frames.
+    Reconstruction targets are computed on exactly the cropped frames,
+    for the whole batch in one call.
     """
     if crop_length < MIN_CROP:
         raise ConfigurationError(f"crop_length must be >= {MIN_CROP}, got {crop_length}")
@@ -322,23 +323,17 @@ def make_batches(manifest: Manifest, crop_length: int, batch_size: int,
         group = [eligible[i] for i in perm[lo: lo + batch_size]]
         feats = None
         labels = np.empty(batch_size, dtype=np.int64)
-        targets = None
         ids = []
         for row, entry in enumerate(group):
             fm = manifest.load_features(entry)
             if feats is None:
-                d = fm.feature_dim
-                feats = np.empty((batch_size, crop_length, d), dtype=np.float32)
-                if order:
-                    targets = np.empty((batch_size, order * d), dtype=np.float32)
+                feats = np.empty((batch_size, crop_length, fm.feature_dim), dtype=np.float32)
             elif fm.feature_dim != feats.shape[2]:
                 raise DimMismatchError(
                     f"{entry.utt_id}: feature dim {fm.feature_dim} != corpus dim {feats.shape[2]}")
             start = int(rng.integers(0, fm.num_frames - crop_length + 1))
-            crop = fm.frames[start: start + crop_length]
-            feats[row] = crop
+            feats[row] = fm.frames[start: start + crop_length]
             labels[row] = spk_index[entry.speaker_id]
-            if order:
-                targets[row] = hos_vector(crop, order).astype(np.float32)
             ids.append(entry.utt_id)
+        targets = hos_vector(feats, order).astype(np.float32) if order else None
         yield Batch(features=feats, labels=labels, targets=targets, utt_ids=ids)

@@ -9,9 +9,14 @@ mtl_order per-dimension statistics of the input crop. The embedding is
 the affine output of the first segment layer, taken before its relu and
 batch norm, so it is untouched by anything downstream of that layer.
 
+Each frame layer is two tape ops: a convolution with its relu built in,
+and a batch norm over the [N, T, F] output's N * T frames. Training and
+extraction run the same frame stack (_frame_stack), in train and infer
+mode respectively.
+
 The joint objective is task_weight * reconstruction_mse +
-(1 - task_weight) * cross_entropy. task_weight 0 with mtl_order 0 is
-the plain classification baseline.
+(1 - task_weight) * cross_entropy, recorded as one weighted add.
+task_weight 0 with mtl_order 0 is the plain classification baseline.
 
 Checkpoints are little-endian binary: magic "XVCK", u32 format version,
 a length-prefixed utf-8 key=value blob (config, step counter, corpus
@@ -274,6 +279,19 @@ def build_model(config: ModelConfig, dtype=np.float32) -> Model:
     return Model(config=config, params=params, bn_states=bn_states, dtype=dtype)
 
 
+def _frame_stack(model: Model, x: Tensor, mode: str, tape: Tape | None = None) -> Tensor:
+    """Layers l1..l5 on [N, T, D] frames: conv with a built-in relu, then
+    batch norm over all N * T frames; two tape entries per layer."""
+    p = model.params
+    h = x
+    for i, dilation in enumerate(model.config.dilations, start=1):
+        name = f"l{i}"
+        h = conv1d_dilated(h, p[f"{name}.weight"], p[f"{name}.bias"], dilation, tape,
+                           activation="relu")
+        h = batchnorm1d(h, p[f"{name}.gamma"], p[f"{name}.beta"], mode, model.bn_states[name], tape)
+    return h
+
+
 def forward(model: Model, batch, mode: str = "train", tape: Tape | None = None) -> ForwardResult:
     """Run a [N, L, D] batch through the network.
 
@@ -285,25 +303,15 @@ def forward(model: Model, batch, mode: str = "train", tape: Tape | None = None) 
     x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=model.dtype))
     if x.ndim != 3:
         raise ConfigurationError(f"batch must be [N, L, D], got shape {x.shape}")
-    n, length, d = x.shape
+    length, d = x.shape[1], x.shape[2]
     if d != cfg.feature_dim:
         raise ConfigurationError(f"batch feature dim {d} != model feature dim {cfg.feature_dim}")
     rf = receptive_field(cfg)
     if length < rf:
         raise InputTooShortError(f"input of {length} frames shorter than receptive field {rf}")
 
-    h = x
     p = model.params
-    for i, dilation in enumerate(cfg.dilations, start=1):
-        name = f"l{i}"
-        h = conv1d_dilated(h, p[f"{name}.weight"], p[f"{name}.bias"], dilation, tape)
-        h = relu(h, tape)
-        t_i, width = h.shape[1], h.shape[2]
-        h = reshape(h, (n * t_i, width), tape)
-        h = batchnorm1d(h, p[f"{name}.gamma"], p[f"{name}.beta"], mode, model.bn_states[name], tape)
-        h = reshape(h, (n, t_i, width), tape)
-
-    pooled = stats_pool(h, tape)
+    pooled = stats_pool(_frame_stack(model, x, mode, tape), tape)
     h6 = dense(pooled, p["l6.weight"], p["l6.bias"], "relu", tape)
     h6 = batchnorm1d(h6, p["l6.gamma"], p["l6.beta"], mode, model.bn_states["l6"], tape)
     h7 = dense(h6, p["l7.weight"], p["l7.bias"], "relu", tape)
@@ -329,7 +337,7 @@ def multitask_loss(logits: Tensor, labels, reconstruction: Tensor | None,
     if targets is None:
         raise ConfigurationError("reconstruction present but targets missing")
     mse = mse_loss(reconstruction, targets, tape)
-    total = add(scale(mse, task_weight, tape), scale(ce, 1.0 - task_weight, tape), tape)
+    total = add(mse, ce, tape, weights=(task_weight, 1.0 - task_weight))
     return LossParts(total=total, ce=ce, mse=mse)
 
 
@@ -470,17 +478,8 @@ def extract_embedding(model: Model, utterance: FeatureMatrix | np.ndarray) -> Em
         raise InputTooShortError(
             f"utterance '{utt_id}' has {frames.shape[0]} frames, needs >= {rf}")
 
-    h = Tensor(frames[None])
+    pooled = stats_pool(_frame_stack(model, Tensor(frames[None]), "infer"))
     p = model.params
-    for i, dilation in enumerate(cfg.dilations, start=1):
-        name = f"l{i}"
-        h = conv1d_dilated(h, p[f"{name}.weight"], p[f"{name}.bias"], dilation)
-        h = relu(h)
-        t_i, width = h.shape[1], h.shape[2]
-        h = reshape(h, (t_i, width))
-        h = batchnorm1d(h, p[f"{name}.gamma"], p[f"{name}.beta"], "infer", model.bn_states[name])
-        h = reshape(h, (1, t_i, width))
-    pooled = stats_pool(h)
     vec = pooled.data @ p["l6.weight"].data.T + p["l6.bias"].data
     return Embedding(utt_id=utt_id, vector=vec[0].copy())
 
@@ -532,8 +531,7 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
     batch = rng.normal(size=(config.batch_size, config.crop_length,
                              config.feature_dim)).astype(np.float32)
     labels = rng.integers(0, config.num_speakers, size=config.batch_size)
-    targets = np.stack([hos_vector(batch[i], config.mtl_order)
-                        for i in range(config.batch_size)]).astype(np.float32)
+    targets = hos_vector(batch, config.mtl_order).astype(np.float32)
 
     def run_steps(cfg: ModelConfig, steps: int) -> None:
         mdl = build_model(cfg)
@@ -732,6 +730,22 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
 
     check("conv1d_dilated.batched", fn_conv_batched, {"input": xb, "weight": w, "bias": b})
 
+    # conv with its built-in relu, batched; inputs are redrawn until every
+    # pre-activation sits 0.02 or more from the kink, so no finite
+    # difference step crosses it, and some of them are clamped
+    while True:
+        xc = Tensor(rng.normal(size=(2, 9, 3)), requires_grad=True)
+        pre = conv1d_dilated(xc, w, b, dilation=2).data
+        if np.abs(pre).min() > 0.02 and (pre < 0).any():
+            break
+
+    def fn_conv_relu():
+        tape = Tape()
+        y = conv1d_dilated(xc, w, b, dilation=2, tape=tape, activation="relu")
+        return mse_loss(reshape(y, (2, 20), tape), tgt_b, tape), tape
+
+    check("conv1d_dilated.relu", fn_conv_relu, {"input": xc, "weight": w, "bias": b})
+
     # dense, both activations
     xd = Tensor(_away_from_zero(rng, (4, 5)), requires_grad=True)
     wd = Tensor(_away_from_zero(rng, (3, 5)), requires_grad=True)
@@ -767,6 +781,17 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
         return mse_loss(y, tgt_n, tape), tape
 
     check("batchnorm1d.train", fn_bn, {"input": xn, "gamma": gn, "beta": bn})
+
+    # batchnorm, train mode, over the N * T rows of an [N, T, F] input
+    xn3 = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
+    tgt_n3 = Tensor(rng.normal(size=(3, 16)))
+
+    def fn_bn3():
+        tape = Tape()
+        y = batchnorm1d(xn3, gn, bn, "train", bn_state, tape)
+        return mse_loss(reshape(y, (3, 16), tape), tgt_n3, tape), tape
+
+    check("batchnorm1d.train.3d", fn_bn3, {"input": xn3, "gamma": gn, "beta": bn})
 
     # stats pooling
     xp = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
@@ -818,7 +843,7 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
     net_rng = np.random.default_rng(99)
     mini_batch = np.asarray(net_rng.normal(size=(4, 20, 6)), dtype=np.float64)
     mini_labels = np.array([0, 2, 4, 1])
-    mini_targets = np.concatenate([hos_vector(mini_batch[i], 4)[None] for i in range(4)])
+    mini_targets = hos_vector(mini_batch, 4)
     for alpha in (0.0, 0.3, 1.0):
         mini = build_model(replace(MINIATURE_CONFIG, task_weight=alpha), dtype=np.float64)
         batch_t = Tensor(mini_batch)

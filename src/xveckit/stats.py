@@ -1,6 +1,7 @@
 """Per-dimension utterance statistics up to fourth order, and the pooling op.
 
-moments() is the two-pass reference used everywhere targets are needed;
+moments() is the two-pass reference used everywhere targets are needed,
+on one utterance or on a batch of equal-length crops at once;
 moments_streaming() is a one-pass recurrence for long inputs and must
 agree with the reference to high precision. stats_pool() is the
 differentiable mean+stddev pooling layer of the network and records on
@@ -42,7 +43,8 @@ POOL_EPS = 1e-8
 
 @dataclass
 class HosVector:
-    """Per-dimension mean, stddev, skewness, and kurtosis of an utterance."""
+    """Per-dimension mean, stddev, skewness, and kurtosis of an utterance,
+    or of each utterance of a batch (every field then has a leading axis)."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -51,36 +53,45 @@ class HosVector:
 
     @property
     def feature_dim(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-1]
 
     def concat(self, order: int = 4) -> np.ndarray:
         """Concatenated layout [mu, sigma, skew, kurt][:order], length order * D."""
         if order not in (1, 2, 3, 4):
             raise ConfigurationError(f"moment order must be in 1..4, got {order}")
         parts = (self.mu, self.sigma, self.skew, self.kurt)[:order]
-        return np.concatenate(parts)
+        return np.concatenate(parts, axis=-1)
 
 
-def _check_frames(frames) -> np.ndarray:
+def _check_frames(frames, batched: bool = False) -> np.ndarray:
     x = np.asarray(frames, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigurationError(f"frames must be [T, D], got shape {x.shape}")
-    if x.shape[0] < 1:
+    if x.ndim != 2 and not (batched and x.ndim == 3):
+        shape = "[T, D] or [N, T, D]" if batched else "[T, D]"
+        raise ConfigurationError(f"frames must be {shape}, got shape {x.shape}")
+    if x.shape[-2] < 1:
         raise DataError("empty utterance: no frames to summarize")
     return x
 
 
 def moments(frames) -> HosVector:
-    """Two-pass reference statistics of a [T, D] frame matrix."""
-    x = _check_frames(frames)
-    mu = x.mean(axis=0)
-    centered = x - mu
-    var = (centered * centered).mean(axis=0)
+    """Two-pass reference statistics of a [T, D] frame matrix, or of each
+    [T, D] slice of an [N, T, D] batch.
+
+    A batch gives bitwise the same numbers as its slices one at a time:
+    the reductions run over the time axis in the same order either way.
+    """
+    x = _check_frames(frames, batched=True)
+    mu = x.mean(axis=-2)
+    centered = x - mu[..., None, :]
+    var = (centered * centered).mean(axis=-2)
     sigma = np.sqrt(var)
     ok = sigma >= DEGENERATE_SIGMA
-    z = centered / np.where(ok, sigma, 1.0)
-    skew = np.where(ok, (z ** 3).mean(axis=0), 0.0)
-    kurt = np.where(ok, (z ** 4).mean(axis=0), 0.0)
+    z = centered / np.where(ok, sigma, 1.0)[..., None, :]
+    # Cubes and fourth powers by multiplication: np.power with exponent 3
+    # or 4 goes through pow() and is several times slower.
+    z2 = z * z
+    skew = np.where(ok, (z2 * z).mean(axis=-2), 0.0)
+    kurt = np.where(ok, (z2 * z2).mean(axis=-2), 0.0)
     return HosVector(mu=mu, sigma=sigma, skew=skew, kurt=kurt)
 
 
@@ -118,7 +129,8 @@ def moments_streaming(frames) -> HosVector:
 
 
 def hos_vector(frames, order: int = 4) -> np.ndarray:
-    """Reconstruction target: the first `order` statistics, concatenated."""
+    """Reconstruction target: the first `order` statistics, concatenated;
+    [order * D] for a [T, D] input, [N, order * D] for an [N, T, D] batch."""
     return moments(frames).concat(order)
 
 
@@ -147,9 +159,8 @@ def stats_pool(frames: Tensor, tape: Tape | None = None) -> Tensor:
             if not _wants_grad(frames):
                 return
             gb = g if batched else g[None]
-            g_mu = gb[:, :f]
-            g_std = gb[:, f:]
-            gx = g_mu[:, None, :] / t + g_std[:, None, :] * centered / (t * std[:, None, :])
-            _accumulate(frames, gx if batched else gx[0])
+            gx = centered * (gb[:, None, f:] / (t * std[:, None, :]))
+            gx += gb[:, None, :f] / t
+            _accumulate(frames, gx if batched else gx[0], fresh=True)
         tape.record(out, bwd)
     return out

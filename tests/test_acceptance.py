@@ -40,8 +40,9 @@ def test_01_gradient_integrity():
     assert worst < 1e-4
 
     names = [name for name, _ in checks]
-    for required in ("conv1d_dilated", "conv1d_dilated.batched", "dense.none",
-                     "dense.relu", "relu", "batchnorm1d.train", "stats_pool",
+    for required in ("conv1d_dilated", "conv1d_dilated.batched", "conv1d_dilated.relu",
+                     "dense.none", "dense.relu", "relu", "batchnorm1d.train",
+                     "batchnorm1d.train.3d", "stats_pool",
                      "softmax_cross_entropy", "mse_loss", "network.alpha=0",
                      "network.alpha=0.3", "network.alpha=1"):
         assert required in names, f"missing check {required}"

@@ -8,7 +8,6 @@ from xveckit.backend import (
     Preprocessor,
     ScoreSet,
     Trial,
-    _jacobi_eigh,
     all_pairs_trials,
     fit_plda,
     fit_preprocessor,
@@ -52,40 +51,93 @@ def sample_classes(rng, m, between, within, num_classes, per_class):
 
 
 # ---------------------------------------------------------------------------
-# eigensolver
+# LDA eigenproblem: the projection P must satisfy P S_w P^T = I, make
+# P S_b P^T diagonal with a descending diagonal, and carry the sign rule
 # ---------------------------------------------------------------------------
 
+def class_scatters(x, labs):
+    """Population-normalized within- and between-class scatter."""
+    labs = np.array(labs)
+    mu = x.mean(axis=0)
+    d = x.shape[1]
+    s_w, s_b = np.zeros((d, d)), np.zeros((d, d))
+    for c in np.unique(labs):
+        rows = x[labs == c]
+        dev = rows - rows.mean(axis=0)
+        s_w += dev.T @ dev
+        off = rows.mean(axis=0) - mu
+        s_b += len(rows) * np.outer(off, off)
+    return s_w / len(x), s_b / len(x)
+
+
+def assert_lda_properties(pre, x, labs):
+    s_w, s_b = class_scatters(x, labs)
+    p = pre.projection
+    np.testing.assert_allclose(p @ s_w @ p.T, np.eye(len(p)), atol=1e-8)
+    b = p @ s_b @ p.T
+    scale = max(1.0, float(np.abs(b).max()))
+    np.testing.assert_allclose(b - np.diag(np.diag(b)), 0.0, atol=1e-8 * scale)
+    assert np.all(np.diff(np.diag(b)) <= 1e-8 * scale), np.diag(b)
+    for row in p:
+        assert row[np.argmax(np.abs(row))] > 0
+
+
+def axis_classes(means, spreads):
+    """Two classes per axis i, centered at +-means[i] e_i; each class holds
+    its center +- spreads[j] e_j for every axis j. Both scatters are then
+    diagonal: S_w = diag(spreads^2) / 3 and S_b = diag(means^2) / 3."""
+    d = len(means)
+    xs, labs = [], []
+    for i in range(d):
+        for sign in (1.0, -1.0):
+            center = sign * means[i] * np.eye(d)[i]
+            for j in range(d):
+                for step in (1.0, -1.0):
+                    xs.append(center + step * spreads[j] * np.eye(d)[j])
+                    labs.append(f"c{i}{sign:+.0f}")
+    return np.array(xs), labs
+
+
 @pytest.mark.parametrize("d", [1, 2, 5, 12])
-def test_jacobi_matches_reference(d):
+def test_lda_diagonalizes_scatters(d):
     rng = np.random.default_rng(d)
     a = rng.normal(size=(d, d))
-    sym = a + a.T
-    vals, vecs = _jacobi_eigh(sym)
-    np.testing.assert_allclose(np.sort(vals), np.linalg.eigvalsh(sym), atol=1e-10)
-    np.testing.assert_allclose(vecs @ vecs.T, np.eye(d), atol=1e-12)
-    np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, sym, atol=1e-10)
+    b = rng.normal(size=(d, d))
+    x, labs = sample_classes(rng, rng.normal(size=d), a @ a.T + 0.5 * np.eye(d),
+                             b @ b.T + 0.1 * np.eye(d), d + 3, 6)
+    assert_lda_properties(fit_preprocessor(x, labs, lda_dim=d), x, labs)
 
 
-def test_jacobi_already_diagonal():
-    vals, vecs = _jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
-    np.testing.assert_allclose(np.sort(vals), [-1.0, 2.0, 3.0], atol=1e-15)
-    np.testing.assert_allclose(np.abs(vecs), np.eye(3), atol=1e-15)
+def test_lda_axis_aligned_scatters():
+    # S_b / S_w = diag(1, 9, 4) in whitened units: rows e_1, e_2, e_0
+    spread = 0.5
+    x, labs = axis_classes([0.5, 1.5, 1.0], [spread] * 3)
+    pre = fit_preprocessor(x, labs, lda_dim=3)
+    expected = np.sqrt(3.0) / spread * np.eye(3)[[1, 2, 0]]
+    np.testing.assert_allclose(pre.projection, expected, atol=1e-12)
+    assert_lda_properties(pre, x, labs)
 
 
-def test_jacobi_repeated_eigenvalues():
-    # identity plus rank one: eigenvalues {1, 1, 1 + ||u||^2}
-    u = np.array([1.0, 2.0, 2.0])
-    sym = np.eye(3) + np.outer(u, u)
-    vals, vecs = _jacobi_eigh(sym)
-    np.testing.assert_allclose(np.sort(vals), [1.0, 1.0, 10.0], atol=1e-10)
-    np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, sym, atol=1e-10)
+def test_lda_repeated_between_eigenvalues():
+    # two equal between-class eigenvalues, rotated off the axes: any basis
+    # of that eigenspace is a valid answer, the properties must still hold
+    x, labs = axis_classes([2.0, 2.0, 1.0], [1.0, 1.0, 1.0])
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
+    x = x @ q.T
+    pre = fit_preprocessor(x, labs, lda_dim=3)
+    assert_lda_properties(pre, x, labs)
+    s_w, s_b = class_scatters(x, labs)
+    np.testing.assert_allclose(np.diag(pre.projection @ s_b @ pre.projection.T),
+                               [4.0, 4.0, 1.0], atol=1e-10)
 
 
-def test_jacobi_huge_dynamic_range():
-    sym = np.diag([1e-12, 1.0, 1e12])
-    sym[0, 1] = sym[1, 0] = 1e-140  # rotation angle formula must not overflow
-    vals, _ = _jacobi_eigh(sym)
-    np.testing.assert_allclose(np.sort(vals), np.linalg.eigvalsh(sym), rtol=1e-12)
+def test_lda_wide_scatter_range():
+    # within-class spreads 1e-4 .. 1e4 must not break the whitening
+    spreads = [1e-4, 1.0, 1e4]
+    x, labs = axis_classes([3e-4, 2.0, 5e3], spreads)
+    pre = fit_preprocessor(x, labs, lda_dim=3)
+    assert_lda_properties(pre, x, labs)
+    assert [int(np.argmax(np.abs(row))) for row in pre.projection] == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

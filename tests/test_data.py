@@ -275,6 +275,30 @@ def test_batch_targets_match_crop_statistics(corpus):
         break
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_batch_targets_equal_per_crop_targets_bitwise(order, tmp_path):
+    # targets are computed for the whole batch at once; each row must be
+    # the very bytes a per-crop hos_vector gives, a constant dimension too
+    rng = np.random.default_rng(order)
+    entries = []
+    for u in range(6):
+        frames = rng.normal(size=(int(rng.integers(40, 60)), 3)).astype(np.float32)
+        if u == 2:
+            frames[:, 1] = 0.75
+        write_features(tmp_path / f"u{u}.xvf", FeatureMatrix(f"u{u}", f"s{u % 3}", frames))
+        entries.append(ManifestEntry(f"u{u}", f"s{u % 3}", f"u{u}.xvf", len(frames)))
+    manifest = Manifest(entries, tmp_path)
+    batches = list(make_batches(manifest, crop_length=30, batch_size=3, seed=4, epoch=0,
+                                order=order))
+    assert len(batches) == 2
+    assert any("u2" in b.utt_ids for b in batches)
+    for batch in batches:
+        assert batch.targets.dtype == np.float32
+        for row in range(3):
+            want = hos_vector(batch.features[row], order).astype(np.float32)
+            assert batch.targets[row].tobytes() == want.tobytes()
+
+
 def test_batch_labels_match_speaker_index(corpus):
     manifest, _ = corpus
     idx = manifest.speaker_index()

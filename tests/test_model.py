@@ -5,7 +5,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xveckit.autodiff import OptimizerState, Tape, Tensor, backward
+from xveckit.autodiff import (
+    OptimizerState,
+    Tape,
+    Tensor,
+    _accumulate,
+    add,
+    backward,
+    conv1d_dilated,
+    dense,
+    mse_loss,
+    optimizer_step,
+    relu,
+    reshape,
+    scale,
+    softmax_cross_entropy,
+)
 from xveckit.data import CorpusSpec, generate_corpus
 from xveckit.errors import (
     BadMagicError,
@@ -31,6 +46,7 @@ from xveckit.model import (
     step_time_overhead,
     train,
 )
+from xveckit.stats import hos_vector, stats_pool
 
 FULL = ModelConfig(feature_dim=30, num_speakers=7001)
 
@@ -176,6 +192,105 @@ def test_loss_weighting_validation():
     r2 = forward(mtl, x, "infer")
     with pytest.raises(ConfigurationError):
         multitask_loss(r2.logits, np.array([0, 1]), r2.reconstruction, None, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# frame layers: two tape ops each must equal the five-op composition
+# ---------------------------------------------------------------------------
+
+def reference_batchnorm(inp, gamma, beta, running, tape):
+    """Train-mode batch norm of an [N, F] input in its textbook form:
+    xhat = (x - mean) / sqrt(var + eps), and the backward as means of
+    products over the rows."""
+    x = inp.data
+    mu, var = x.mean(axis=0), x.var(axis=0)
+    inv = 1.0 / np.sqrt(var + running.eps)
+    xhat = (x - mu) * inv
+    m = running.momentum
+    running.mean = m * running.mean + (1.0 - m) * mu
+    running.var = m * running.var + (1.0 - m) * var
+    out = Tensor(gamma.data * xhat + beta.data)
+
+    def bwd(g):
+        _accumulate(beta, g.sum(axis=0))
+        _accumulate(gamma, (g * xhat).sum(axis=0))
+        gxh = g * gamma.data
+        _accumulate(inp, inv * (gxh - gxh.mean(axis=0) - xhat * (gxh * xhat).mean(axis=0)))
+
+    tape.record(out, bwd)
+    return out
+
+
+def five_op_step(model, x, labels, targets, tape):
+    """Forward + loss with each frame layer as conv -> relu -> reshape ->
+    [N*T, F] batch norm -> reshape, every batch norm in its textbook form,
+    and the loss as add(scale, scale)."""
+    p, cfg = model.params, model.config
+    h = Tensor(x)
+    n = x.shape[0]
+    for i, dilation in enumerate(cfg.dilations, start=1):
+        name = f"l{i}"
+        h = relu(conv1d_dilated(h, p[f"{name}.weight"], p[f"{name}.bias"], dilation, tape), tape)
+        t_i, width = h.shape[1], h.shape[2]
+        h = reshape(h, (n * t_i, width), tape)
+        h = reference_batchnorm(h, p[f"{name}.gamma"], p[f"{name}.beta"],
+                                model.bn_states[name], tape)
+        h = reshape(h, (n, t_i, width), tape)
+    h = stats_pool(h, tape)
+    for name in ("l6", "l7"):
+        h = dense(h, p[f"{name}.weight"], p[f"{name}.bias"], "relu", tape)
+        h = reference_batchnorm(h, p[f"{name}.gamma"], p[f"{name}.beta"],
+                                model.bn_states[name], tape)
+    ce = softmax_cross_entropy(dense(h, p["softmax.weight"], p["softmax.bias"], "none", tape),
+                               labels, tape)
+    mse = mse_loss(dense(h, p["mtl.weight"], p["mtl.bias"], "none", tape), targets, tape)
+    w = cfg.task_weight
+    return add(scale(mse, w, tape), scale(ce, 1.0 - w, tape), tape)
+
+
+def max_rel(a, b):
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+def test_lean_frame_layers_match_five_op_composition():
+    # Both models start every step from the same parameters: the optimizer
+    # normalizes each gradient by its own magnitude, so letting it step both
+    # models would amplify rounding differences in near-zero gradients
+    # instead of measuring them. Batch-norm running stats are left to
+    # accumulate separately over the three steps.
+    lean = build_model(MINIATURE_CONFIG, dtype=np.float64)
+    ref = build_model(MINIATURE_CONFIG, dtype=np.float64)
+    lean.opt_state = OptimizerState(lean.params, MINIATURE_CONFIG.learning_rate)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        x = rng.normal(size=(4, 20, 6))
+        labels = rng.integers(0, 5, size=4)
+        targets = Tensor(hos_vector(x, 4))
+
+        tape = Tape()
+        r = forward(lean, x, "train", tape)
+        total = multitask_loss(r.logits, labels, r.reconstruction, targets,
+                               MINIATURE_CONFIG.task_weight, tape).total
+        assert len(tape) == 20
+        backward(total, tape)
+
+        ref_tape = Tape()
+        ref_total = five_op_step(ref, x, labels, targets, ref_tape)
+        assert len(ref_tape) == 37
+        backward(ref_total, ref_tape)
+
+        assert max_rel(total.data, ref_total.data) < 1e-10
+        for name, param in lean.params.items():
+            assert max_rel(param.grad, ref.params[name].grad) < 1e-10, name
+        for name, state in lean.bn_states.items():
+            assert max_rel(state.mean, ref.bn_states[name].mean) < 1e-10, name
+            assert max_rel(state.var, ref.bn_states[name].var) < 1e-10, name
+        optimizer_step(lean.params, {k: p.grad for k, p in lean.params.items()},
+                       lean.opt_state, MINIATURE_CONFIG.weight_decay)
+        for name, param in lean.params.items():
+            param.grad = None
+            ref.params[name].data = param.data.copy()
+            ref.params[name].grad = None
 
 
 # ---------------------------------------------------------------------------
