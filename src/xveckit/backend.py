@@ -12,8 +12,9 @@ within-class scatter and taking the symmetric eigendecomposition
 so the largest-magnitude entry is positive.
 
 Backends persist in the same binary framing as model checkpoints under
-the magic "XVBK"; embedding archives under "XVEB". Trial files are text
-lines "enroll_id test_id target|nontarget"; score files are
+the magic "XVBK", with the key=value metadata blob that binio writes and
+parses; embedding archives under "XVEB". Trial files are text lines
+"enroll_id test_id target|nontarget"; score files are
 "enroll_id test_id score" with six decimal places.
 """
 
@@ -40,7 +41,6 @@ __all__ = [
     "length_normalize",
     "PldaModel",
     "fit_plda",
-    "plda_posterior",
     "Trial",
     "ScoreSet",
     "score_trials",
@@ -92,12 +92,44 @@ class Preprocessor:
         return y[0] if single else y
 
 
-def _class_slices(labels) -> dict[str, np.ndarray]:
-    labels = [str(l) for l in labels]
+@dataclass
+class _ClassStats:
+    """Per-speaker summary of labeled embeddings, over the retained rows
+    (speakers with two or more embeddings), in first-appearance order."""
+
+    x: np.ndarray                # all rows, float64
+    counts: np.ndarray           # [C] retained rows per speaker
+    class_means: np.ndarray      # [C, D]
+    scatter_within: np.ndarray   # [D, D] summed, not normalized
+    retained_mean: np.ndarray    # [D] mean of the retained rows
+
+
+def _class_stats(embeddings: np.ndarray, labels, who: str) -> _ClassStats:
+    x = np.asarray(embeddings, dtype=np.float64)
+    if x.ndim != 2:
+        raise ConfigurationError(f"embeddings must be [N, D], got shape {x.shape}")
+    if len(labels) != x.shape[0]:
+        raise ConfigurationError(f"{x.shape[0]} embeddings but {len(labels)} labels")
     by: dict[str, list[int]] = {}
     for i, lab in enumerate(labels):
-        by.setdefault(lab, []).append(i)
-    return {lab: np.array(idx) for lab, idx in by.items()}
+        by.setdefault(str(lab), []).append(i)
+    retained = [np.array(idx) for idx in by.values() if len(idx) >= 2]
+    dropped = sorted(lab for lab, idx in by.items() if len(idx) < 2)
+    if dropped:
+        log.warning("%s: excluding %d speaker(s) with a single embedding: %s", who, len(dropped),
+                    ", ".join(dropped[:5]) + ("..." if len(dropped) > 5 else ""))
+    if len(retained) < 2:
+        raise DataError(f"{who} needs >= 2 speakers with >= 2 embeddings, have {len(retained)}")
+
+    d = x.shape[1]
+    class_means = np.stack([x[idx].mean(axis=0) for idx in retained])
+    scatter_within = np.zeros((d, d))
+    for idx, cls_mean in zip(retained, class_means):
+        dev = x[idx] - cls_mean
+        scatter_within += dev.T @ dev
+    return _ClassStats(x=x, counts=np.array([idx.size for idx in retained]),
+                       class_means=class_means, scatter_within=scatter_within,
+                       retained_mean=x[np.concatenate(retained)].mean(axis=0))
 
 
 def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocessor:
@@ -109,39 +141,21 @@ def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocess
     Cholesky factorization; if that fails, a ridge of
     1e-4 * trace/dim is added once and the fit retried.
     """
-    x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigurationError(f"embeddings must be [N, D], got shape {x.shape}")
-    if len(labels) != x.shape[0]:
-        raise ConfigurationError(f"{x.shape[0]} embeddings but {len(labels)} labels")
+    stats = _class_stats(embeddings, labels, "LDA")
+    x = stats.x
     d = x.shape[1]
-    classes = _class_slices(labels)
-    retained = {lab: idx for lab, idx in classes.items() if idx.size >= 2}
-    dropped = sorted(set(classes) - set(retained))
-    if dropped:
-        log.warning("LDA: dropping %d speaker(s) with a single embedding: %s",
-                    len(dropped), ", ".join(dropped[:5]) + ("..." if len(dropped) > 5 else ""))
-    if len(retained) < 2:
-        raise DataError(f"LDA needs >= 2 speakers with >= 2 embeddings, have {len(retained)}")
-    max_dim = min(d, len(retained) - 1)
+    n_classes = stats.counts.size
+    max_dim = min(d, n_classes - 1)
     if not 1 <= lda_dim <= max_dim:
         raise ConfigurationError(
-            f"lda_dim must lie in [1, {max_dim}] for {len(retained)} speakers of dim {d}, got {lda_dim}")
+            f"lda_dim must lie in [1, {max_dim}] for {n_classes} speakers of dim {d}, got {lda_dim}")
 
-    mean = x.mean(axis=0)
-    rows = np.concatenate([idx for idx in retained.values()])
-    global_mean = x[rows].mean(axis=0)
-    n_retained = rows.size
-    s_within = np.zeros((d, d))
+    n_retained = stats.counts.sum()
+    s_within = stats.scatter_within / n_retained
     s_between = np.zeros((d, d))
-    for idx in retained.values():
-        cls = x[idx]
-        cls_mean = cls.mean(axis=0)
-        dev = cls - cls_mean
-        s_within += dev.T @ dev
-        offset = cls_mean - global_mean
-        s_between += idx.size * np.outer(offset, offset)
-    s_within /= n_retained
+    for n, cls_mean in zip(stats.counts, stats.class_means):
+        offset = cls_mean - stats.retained_mean
+        s_between += n * np.outer(offset, offset)
     s_between /= n_retained
 
     try:
@@ -169,7 +183,7 @@ def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocess
         peak = np.argmax(np.abs(row))
         if row[peak] < 0:
             row *= -1.0
-    return Preprocessor(mean=mean, projection=projection)
+    return Preprocessor(mean=x.mean(axis=0), projection=projection)
 
 
 def length_normalize(embeddings: np.ndarray) -> np.ndarray:
@@ -196,18 +210,6 @@ class PldaModel:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-
-def plda_posterior(model: PldaModel, embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior (mean, covariance) of a speaker's latent mean given its
-    embeddings."""
-    x = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    n = x.shape[0]
-    b_inv = _inv(model.between, "between-speaker covariance")
-    w_inv = _inv(model.within, "within-speaker covariance")
-    cov = _inv(b_inv + n * w_inv, "posterior precision")
-    mean = cov @ (b_inv @ model.mean + w_inv @ x.sum(axis=0))
-    return mean, cov
 
 
 def _marginal_log_likelihood(m: np.ndarray, between: np.ndarray, within: np.ndarray,
@@ -245,38 +247,19 @@ def fit_plda(embeddings: np.ndarray, labels, num_iterations: int = 20,
     recorded before training and after every iteration in
     model.log_likelihoods; EM guarantees the sequence is non-decreasing.
     """
-    x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigurationError(f"embeddings must be [N, D], got shape {x.shape}")
-    if len(labels) != x.shape[0]:
-        raise ConfigurationError(f"{x.shape[0]} embeddings but {len(labels)} labels")
     if num_iterations < 1:
         raise ConfigurationError(f"num_iterations must be >= 1, got {num_iterations}")
-    classes = _class_slices(labels)
-    retained = {lab: idx for lab, idx in classes.items() if idx.size >= 2}
-    dropped = sorted(set(classes) - set(retained))
-    if dropped:
-        log.warning("PLDA: excluding %d speaker(s) with a single embedding", len(dropped))
-    if len(retained) < 2:
-        raise DataError(f"PLDA needs >= 2 speakers with >= 2 embeddings, have {len(retained)}")
-
-    d = x.shape[1]
-    n_classes = len(retained)
-    counts = np.array([idx.size for idx in retained.values()])
+    stats = _class_stats(embeddings, labels, "PLDA")
+    counts, class_means, s_within_total = stats.counts, stats.class_means, stats.scatter_within
+    n_classes = counts.size
     n_total = int(counts.sum())
-    class_means = np.stack([x[idx].mean(axis=0) for idx in retained.values()])
-    s_within_total = np.zeros((d, d))
-    for idx in retained.values():
-        dev = x[idx] - x[idx].mean(axis=0)
-        s_within_total += dev.T @ dev
 
     if init is not None:
         m = np.array(init.mean, dtype=np.float64)
         between = np.array(init.between, dtype=np.float64)
         within = np.array(init.within, dtype=np.float64)
     else:
-        rows = np.concatenate([idx for idx in retained.values()])
-        m = x[rows].mean(axis=0)
+        m = stats.retained_mean
         dev = class_means - m
         between = dev.T @ dev / n_classes
         within = s_within_total / n_total
@@ -431,13 +414,13 @@ def read_trials(path: Path | str) -> list[Trial]:
 
 
 def write_trials(path: Path | str, trials: list[Trial]) -> None:
-    with Path(path).open("w") as fh:
+    with binio.atomic_write(path, "w") as fh:
         for t in trials:
             fh.write(f"{t.enroll_id} {t.test_id} {'target' if t.target else 'nontarget'}\n")
 
 
 def write_scores(path: Path | str, score_set: ScoreSet) -> None:
-    with Path(path).open("w") as fh:
+    with binio.atomic_write(path, "w") as fh:
         for trial, score in zip(score_set.trials, score_set.scores):
             fh.write(f"{trial.enroll_id} {trial.test_id} {score:.6f}\n")
 
@@ -465,16 +448,12 @@ def read_scores(path: Path | str) -> dict[tuple[str, str], float]:
 
 def save_backend(path: Path | str, preprocessor: Preprocessor,
                  plda: PldaModel | None = None, length_norm: bool = True) -> None:
-    blob = "\n".join([
-        f"emb_dim={preprocessor.mean.shape[0]}",
-        f"lda_dim={preprocessor.lda_dim}",
-        f"length_norm={int(length_norm)}",
-        f"has_plda={int(plda is not None)}",
-    ]).encode("utf-8")
-    with Path(path).open("wb") as fh:
+    meta = {"emb_dim": preprocessor.mean.shape[0], "lda_dim": preprocessor.lda_dim,
+            "length_norm": int(length_norm), "has_plda": int(plda is not None)}
+    with binio.atomic_write(path) as fh:
         fh.write(BACKEND_MAGIC)
         binio.write_u32(fh, BACKEND_VERSION)
-        binio.write_blob(fh, blob)
+        binio.write_meta(fh, meta)
         arrays = [preprocessor.mean, preprocessor.projection]
         if plda is not None:
             arrays += [plda.mean, plda.between, plda.within]
@@ -491,10 +470,7 @@ def load_backend(path: Path | str) -> tuple[Preprocessor, PldaModel | None, bool
     version = reader.u32()
     if version != BACKEND_VERSION:
         raise ParseError(f"{path}: unsupported backend version {version}")
-    meta = {}
-    for line in reader.take(reader.u32()).decode("utf-8").splitlines():
-        key, _, value = line.partition("=")
-        meta[key] = value
+    meta = reader.meta()
     try:
         emb_dim = int(meta["emb_dim"])
         lda_dim = int(meta["lda_dim"])
@@ -531,7 +507,7 @@ def write_embeddings(path: Path | str, vectors: dict[str, np.ndarray],
     if len(dims) != 1 or len(next(iter(dims))) != 1:
         raise ConfigurationError(f"embeddings must share one 1-d shape, got {sorted(dims)}")
     dim = next(iter(dims))[0]
-    with Path(path).open("wb") as fh:
+    with binio.atomic_write(path) as fh:
         fh.write(EMBEDDINGS_MAGIC)
         binio.write_u32(fh, EMBEDDINGS_VERSION)
         binio.write_u32(fh, len(vectors))
@@ -555,8 +531,8 @@ def read_embeddings(path: Path | str) -> tuple[dict[str, np.ndarray], dict[str, 
     vectors: dict[str, np.ndarray] = {}
     speakers: dict[str, str] = {}
     for _ in range(count):
-        utt = reader.take(reader.u32()).decode("utf-8")
-        spk = reader.take(reader.u32()).decode("utf-8")
+        utt = reader.text()
+        spk = reader.text()
         vec = np.frombuffer(reader.take(4 * dim), dtype="<f4").astype(np.float64)
         if utt in vectors:
             raise DataError(f"{path}: duplicate utterance id '{utt}'")

@@ -29,6 +29,8 @@ from .data import CorpusSpec, Manifest, energy_vad, generate_corpus
 from .errors import ConfigurationError, DataError, ToolkitError, UsageError
 from .metrics import DcfParams, MetricsReport, detection_metrics
 from .model import (
+    EpochStats,
+    Model,
     ModelConfig,
     build_model,
     extract_embedding,
@@ -247,16 +249,54 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _train_system(config: RunConfig, train_part: Manifest,
+                  out: Path) -> tuple[Model, list[EpochStats]]:
+    """Build a model for `train_part`, train it, and write config.txt,
+    model.ckpt and train_log.csv into `out`."""
+    model = build_model(_model_config(config, len(train_part.speakers)))
+    model.corpus_seed = config.seed
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text(serialize_config(config))
+    return model, train(model, train_part, out_dir=out)
+
+
+def _fit_backend(config: RunConfig, vectors: dict[str, np.ndarray],
+                 speakers: dict[str, str], out: Path | str) -> bk.PldaModel:
+    """Fit centering + LDA, length normalization and PLDA; save to `out`."""
+    ids = sorted(vectors)
+    x = np.stack([vectors[u] for u in ids])
+    labels = [speakers[u] for u in ids]
+    pre = bk.fit_preprocessor(x, labels, config.lda_dim)
+    projected = pre.apply(x)
+    if config.length_norm:
+        projected = bk.length_normalize(projected)
+    plda = bk.fit_plda(projected, labels, config.plda_iterations)
+    bk.save_backend(out, pre, plda, config.length_norm)
+    return plda
+
+
+def _score(config: RunConfig, trials: list[bk.Trial], vectors: dict[str, np.ndarray],
+           backend: Path | str | None, out: Path | str) -> bk.ScoreSet:
+    """Score trials with config.scorer, through `backend` if given; write `out`."""
+    pre = None
+    plda = None
+    length_norm = config.length_norm
+    if backend:
+        pre, plda, length_norm = bk.load_backend(backend)
+    if config.scorer == "plda" and plda is None:
+        raise ConfigurationError("plda scoring needs --backend with a fitted model")
+    score_set = bk.score_trials(trials, vectors, preprocessor=pre,
+                                scorer=plda if config.scorer == "plda" else "cosine",
+                                length_norm=length_norm)
+    bk.write_scores(out, score_set)
+    return score_set
+
+
 def _cmd_train(args) -> int:
     config = _load_config(args)
     manifest = Manifest.load(Path(args.data) / "manifest.csv")
-    train_part = _split_manifest(manifest, config, "train")
-    model = build_model(_model_config(config, len(train_part.speakers)))
-    model.corpus_seed = config.seed
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(serialize_config(config))
-    stats = train(model, train_part, out_dir=out)
+    _, stats = _train_system(config, _split_manifest(manifest, config, "train"), out)
     last = stats[-1]
     print(f"trained {len(stats)} epoch(s); final loss {last.loss:.6f} "
           f"(ce {last.ce:.6f}, mse {last.mse:.6f}); checkpoint in {out}")
@@ -277,17 +317,9 @@ def _cmd_extract(args) -> int:
 def _cmd_train_backend(args) -> int:
     config = _load_config(args)
     vectors, speakers = bk.read_embeddings(args.embeddings)
-    ids = sorted(vectors)
-    x = np.stack([vectors[u] for u in ids])
-    labels = [speakers[u] for u in ids]
-    pre = bk.fit_preprocessor(x, labels, config.lda_dim)
-    projected = pre.apply(x)
-    if config.length_norm:
-        projected = bk.length_normalize(projected)
-    plda = bk.fit_plda(projected, labels, config.plda_iterations)
-    bk.save_backend(args.out, pre, plda, config.length_norm)
+    plda = _fit_backend(config, vectors, speakers, args.out)
     lls = plda.log_likelihoods
-    print(f"backend fit on {len(ids)} embeddings: lda_dim {config.lda_dim}, "
+    print(f"backend fit on {len(vectors)} embeddings: lda_dim {config.lda_dim}, "
           f"plda log-likelihood {lls[0]:.3f} -> {lls[-1]:.3f} "
           f"over {len(lls) - 1} iterations; saved to {args.out}")
     return 0
@@ -297,19 +329,7 @@ def _cmd_score(args) -> int:
     config = _load_config(args)
     trials = bk.read_trials(args.trials)
     vectors, _ = bk.read_embeddings(args.embeddings)
-    pre = None
-    plda = None
-    length_norm = config.length_norm
-    if args.backend:
-        pre, plda, length_norm = bk.load_backend(args.backend)
-    if config.scorer == "plda":
-        if plda is None:
-            raise ConfigurationError("plda scoring needs --backend with a fitted model")
-        score_set = bk.score_trials(trials, vectors, preprocessor=pre,
-                                    scorer=plda, length_norm=length_norm)
-    else:
-        score_set = bk.score_trials(trials, vectors, preprocessor=pre, scorer="cosine")
-    bk.write_scores(args.out, score_set)
+    score_set = _score(config, trials, vectors, args.backend, args.out)
     print(f"scored {len(score_set)} trials ({config.scorer}) into {args.out}")
     return 0
 
@@ -351,34 +371,19 @@ def _cmd_gradcheck(args) -> int:
 
 def _run_system(config: RunConfig, manifest: Manifest, out: Path) -> MetricsReport:
     """Train one system and evaluate it on held-out all-pairs trials."""
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(serialize_config(config))
     train_part = _split_manifest(manifest, config, "train")
     held_part = _split_manifest(manifest, config, "heldout")
-    model = build_model(_model_config(config, len(train_part.speakers)))
-    model.corpus_seed = config.seed
-    train(model, train_part, out_dir=out)
+    model, _ = _train_system(config, train_part, out)
 
     held_vecs, held_spk = _extract_all(model, held_part, config)
     bk.write_embeddings(out / "embeddings.xveb", held_vecs, held_spk)
     trials = bk.all_pairs_trials(held_spk)
     bk.write_trials(out / "trials.txt", trials)
+    backend = None
     if config.scorer == "plda":
-        train_vecs, train_spk = _extract_all(model, train_part, config)
-        ids = sorted(train_vecs)
-        x = np.stack([train_vecs[u] for u in ids])
-        labels = [train_spk[u] for u in ids]
-        pre = bk.fit_preprocessor(x, labels, config.lda_dim)
-        projected = pre.apply(x)
-        if config.length_norm:
-            projected = bk.length_normalize(projected)
-        plda = bk.fit_plda(projected, labels, config.plda_iterations)
-        bk.save_backend(out / "backend.xvbk", pre, plda, config.length_norm)
-        score_set = bk.score_trials(trials, held_vecs, preprocessor=pre,
-                                    scorer=plda, length_norm=config.length_norm)
-    else:
-        score_set = bk.score_trials(trials, held_vecs, scorer="cosine")
-    bk.write_scores(out / "scores.txt", score_set)
+        backend = out / "backend.xvbk"
+        _fit_backend(config, *_extract_all(model, train_part, config), backend)
+    score_set = _score(config, trials, held_vecs, backend, out / "scores.txt")
     report = detection_metrics(score_set, params=_dcf_params(config))
     (out / "metrics.csv").write_text(report.to_csv())
     return report

@@ -19,12 +19,12 @@ The joint objective is task_weight * reconstruction_mse +
 task_weight 0 with mtl_order 0 is the plain classification baseline.
 
 Checkpoints are little-endian binary: magic "XVCK", u32 format version,
-a length-prefixed utf-8 key=value blob (config, step counter, corpus
-seed, optimizer hyperparameters), then u32 tensor count and each tensor
-as u32 rank, u32 dims, float32 data. Tensors appear in declaration
-order: trainable parameters, batch-norm running stats, then optimizer
-moments. Models train in float32; save -> load is bitwise exact and
-resuming reproduces the uninterrupted loss trajectory.
+the key=value metadata blob that binio writes and parses (config, step
+counter, corpus seed, optimizer hyperparameters), then u32 tensor count
+and each tensor as u32 rank, u32 dims, float32 data. Tensors appear in
+declaration order: trainable parameters, batch-norm running stats, then
+optimizer moments. Models train in float32; save -> load is bitwise
+exact and resuming reproduces the uninterrupted loss trajectory.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .autodiff import (
     scale,
     softmax_cross_entropy,
 )
-from .data import FeatureMatrix, Manifest, make_batches
+from .data import Batch, FeatureMatrix, Manifest, make_batches
 from .errors import (
     BadMagicError,
     ConfigurationError,
@@ -374,10 +374,35 @@ def _restore(model: Model, state: dict) -> None:
 
 
 def _write_log(path: Path, rows: list[tuple]) -> None:
-    with path.open("w") as fh:
+    with binio.atomic_write(path, "w") as fh:
         fh.write("epoch,step,loss,ce,mse\n")
         for epoch, step_i, lv, cv, mv in rows:
             fh.write(f"{epoch},{step_i},{lv!r},{cv!r},{mv!r}\n")
+
+
+def _train_step(model: Model, batch: Batch) -> tuple[float, float, float]:
+    """One optimizer update on one batch; returns the (total, ce, mse) loss.
+
+    A non-finite loss raises TrainingDivergedError before any gradient is
+    applied.
+    """
+    cfg = model.config
+    tape = Tape()
+    result = forward(model, batch.features, "train", tape)
+    targets = Tensor(batch.targets) if batch.targets is not None else None
+    parts = multitask_loss(result.logits, batch.labels, result.reconstruction,
+                           targets, cfg.task_weight, tape)
+    losses = float(parts.total.data), float(parts.ce.data), float(parts.mse.data)
+    if not math.isfinite(losses[0]):
+        raise TrainingDivergedError(f"non-finite loss at epoch {model.trained_epochs + 1}, "
+                                    f"step {model.step + 1}")
+    for p in model.params.values():
+        p.grad = None
+    backward(parts.total, tape)
+    optimizer_step(model.params, {k: p.grad for k, p in model.params.items()},
+                   model.opt_state, cfg.weight_decay)
+    model.step += 1
+    return losses
 
 
 def train(model: Model, manifest: Manifest, epochs: int | None = None,
@@ -389,8 +414,8 @@ def train(model: Model, manifest: Manifest, epochs: int | None = None,
     resumed from a checkpoint follows the exact trajectory of an
     uninterrupted run. With out_dir set, writes train_log.csv (one row
     per step: epoch,step,loss,ce,mse) and model.ckpt. A non-finite loss
-    or gradient aborts, restores the last epoch-end state, saves it as
-    the checkpoint, and raises TrainingDivergedError.
+    aborts before its update is applied, restores the last epoch-end
+    state, saves it as the checkpoint, and raises TrainingDivergedError.
     """
     cfg = model.config
     speakers = manifest.speakers
@@ -419,23 +444,7 @@ def train(model: Model, manifest: Manifest, epochs: int | None = None,
             count = 0
             for batch in make_batches(manifest, cfg.crop_length, cfg.batch_size,
                                       cfg.seed, epoch, cfg.mtl_order):
-                tape = Tape()
-                result = forward(model, batch.features, "train", tape)
-                targets = Tensor(batch.targets) if batch.targets is not None else None
-                parts = multitask_loss(result.logits, batch.labels, result.reconstruction,
-                                       targets, cfg.task_weight, tape)
-                lv = float(parts.total.data)
-                cv = float(parts.ce.data)
-                mv = float(parts.mse.data)
-                if not math.isfinite(lv):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}, step {model.step + 1}")
-                for p in model.params.values():
-                    p.grad = None
-                backward(parts.total, tape)
-                optimizer_step(model.params, {k: p.grad for k, p in model.params.items()},
-                               model.opt_state, cfg.weight_decay)
-                model.step += 1
+                lv, cv, mv = _train_step(model, batch)
                 rows.append((epoch, model.step, lv, cv, mv))
                 sums += (lv, cv, mv)
                 count += 1
@@ -517,9 +526,11 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
     without, on one fixed random batch.
 
     Defaults to the miniature network sized up to batch 16 / crop 64 so
-    the measurement reflects arithmetic, not per-op dispatch. Each
-    system is timed `repeats` times after warmup and the fastest run
-    wins, which filters scheduling noise.
+    the measurement reflects arithmetic, not per-op dispatch. After one
+    warmup of each system, the timed runs alternate between the two
+    systems, so that a change in machine speed during the measurement
+    falls on both; each system's fastest run wins, which filters
+    scheduling noise.
     """
     from .stats import hos_vector
 
@@ -532,33 +543,26 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
                              config.feature_dim)).astype(np.float32)
     labels = rng.integers(0, config.num_speakers, size=config.batch_size)
     targets = hos_vector(batch, config.mtl_order).astype(np.float32)
+    systems = {"base": (replace(config, mtl_order=0, task_weight=0.0), Batch(batch, labels, None)),
+               "mtl": (config, Batch(batch, labels, targets))}
 
-    def run_steps(cfg: ModelConfig, steps: int) -> None:
+    def timed_run(key: str, steps: int) -> float:
+        start = time.perf_counter()
+        cfg, fixed_batch = systems[key]
         mdl = build_model(cfg)
         mdl.opt_state = OptimizerState(mdl.params, cfg.learning_rate, cfg.beta1,
                                        cfg.beta2, cfg.adam_eps)
-        tgt = Tensor(targets) if cfg.mtl_order else None
         for _ in range(steps):
-            tape = Tape()
-            result = forward(mdl, batch, "train", tape)
-            parts = multitask_loss(result.logits, labels, result.reconstruction,
-                                   tgt, cfg.task_weight, tape)
-            for p in mdl.params.values():
-                p.grad = None
-            backward(parts.total, tape)
-            optimizer_step(mdl.params, {k: p.grad for k, p in mdl.params.items()},
-                           mdl.opt_state, cfg.weight_decay)
+            _train_step(mdl, fixed_batch)
+        return time.perf_counter() - start
 
-    base_cfg = replace(config, mtl_order=0, task_weight=0.0)
-    best = {}
-    for cfg, key in ((base_cfg, "base"), (config, "mtl")):
-        run_steps(cfg, 5)  # warmup
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run_steps(cfg, num_steps)
-            times.append(time.perf_counter() - start)
-        best[key] = min(times)
+    for key in systems:
+        timed_run(key, 5)  # warmup
+    times: dict[str, list[float]] = {key: [] for key in systems}
+    for _ in range(repeats):
+        for key in systems:
+            times[key].append(timed_run(key, num_steps))
+    best = {key: min(t) for key, t in times.items()}
     return StepTimeReport(baseline_seconds=best["base"], mtl_seconds=best["mtl"],
                           overhead=(best["mtl"] - best["base"]) / best["base"])
 
@@ -584,45 +588,30 @@ def _state_arrays(model: Model) -> list[np.ndarray]:
 
 
 def save_checkpoint(model: Model, path: Path | str) -> None:
-    lines = []
+    meta: dict[str, object] = {}
     for key in _CONFIG_KEYS:
         value = getattr(model.config, key)
-        if key in _INT_TUPLE_KEYS:
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key}={value}")
-    lines.append(f"step={model.step}")
-    lines.append(f"trained_epochs={model.trained_epochs}")
-    lines.append(f"corpus_seed={model.corpus_seed}")
+        meta[key] = ",".join(str(v) for v in value) if key in _INT_TUPLE_KEYS else value
+    meta["step"] = model.step
+    meta["trained_epochs"] = model.trained_epochs
+    meta["corpus_seed"] = model.corpus_seed
     o = model.opt_state
-    lines.append(f"has_opt={int(o is not None)}")
+    meta["has_opt"] = int(o is not None)
     if o is not None:
-        lines.append(f"opt_step_count={o.step_count}")
-        lines.append(f"opt_learning_rate={o.learning_rate!r}")
-        lines.append(f"opt_beta1={o.beta1!r}")
-        lines.append(f"opt_beta2={o.beta2!r}")
-        lines.append(f"opt_eps={o.eps!r}")
-    blob = "\n".join(lines).encode("utf-8")
+        meta["opt_step_count"] = o.step_count
+        meta["opt_learning_rate"] = repr(o.learning_rate)
+        meta["opt_beta1"] = repr(o.beta1)
+        meta["opt_beta2"] = repr(o.beta2)
+        meta["opt_eps"] = repr(o.eps)
 
     arrays = _state_arrays(model)
-    with Path(path).open("wb") as fh:
+    with binio.atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         binio.write_u32(fh, CHECKPOINT_VERSION)
-        binio.write_blob(fh, blob)
+        binio.write_meta(fh, meta)
         binio.write_u32(fh, len(arrays))
         for arr in arrays:
             binio.write_array(fh, arr)
-
-
-def _parse_blob(text: str, path: str) -> dict[str, str]:
-    fields_map: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}: bad metadata line {line!r}")
-        key, value = line.split("=", 1)
-        fields_map[key.strip()] = value.strip()
-    return fields_map
 
 
 def load_checkpoint(path: Path | str) -> Model:
@@ -633,22 +622,25 @@ def load_checkpoint(path: Path | str) -> Model:
     version = reader.u32()
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version}")
-    blob = _parse_blob(reader.take(reader.u32()).decode("utf-8"), str(path))
+    meta = reader.meta()
 
     kwargs = {}
     try:
         for key in _CONFIG_KEYS:
-            raw = blob[key]
+            raw = meta[key]
             if key in _INT_TUPLE_KEYS:
                 kwargs[key] = tuple(int(v) for v in raw.split(","))
             elif key in _FLOAT_KEYS:
                 kwargs[key] = float(raw)
             else:
                 kwargs[key] = int(raw)
-        step = int(blob["step"])
-        trained_epochs = int(blob["trained_epochs"])
-        corpus_seed = int(blob["corpus_seed"])
-        has_opt = bool(int(blob["has_opt"]))
+        step = int(meta["step"])
+        trained_epochs = int(meta["trained_epochs"])
+        corpus_seed = int(meta["corpus_seed"])
+        opt = None
+        if int(meta["has_opt"]):
+            opt = (int(meta["opt_step_count"]), float(meta["opt_learning_rate"]),
+                   float(meta["opt_beta1"]), float(meta["opt_beta2"]), float(meta["opt_eps"]))
     except KeyError as err:
         raise ParseError(f"{path}: missing metadata key {err}") from None
     except ValueError as err:
@@ -658,13 +650,11 @@ def load_checkpoint(path: Path | str) -> Model:
     model.step = step
     model.trained_epochs = trained_epochs
     model.corpus_seed = corpus_seed
-    if has_opt:
-        model.opt_state = OptimizerState(model.params,
-                                         learning_rate=float(blob["opt_learning_rate"]),
-                                         beta1=float(blob["opt_beta1"]),
-                                         beta2=float(blob["opt_beta2"]),
-                                         eps=float(blob["opt_eps"]))
-        model.opt_state.step_count = int(blob["opt_step_count"])
+    if opt is not None:
+        step_count, learning_rate, beta1, beta2, eps = opt
+        model.opt_state = OptimizerState(model.params, learning_rate=learning_rate,
+                                         beta1=beta1, beta2=beta2, eps=eps)
+        model.opt_state.step_count = step_count
 
     targets = _state_arrays(model)
     count = reader.u32()

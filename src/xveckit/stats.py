@@ -1,11 +1,9 @@
 """Per-dimension utterance statistics up to fourth order, and the pooling op.
 
 moments() is the two-pass reference used everywhere targets are needed,
-on one utterance or on a batch of equal-length crops at once;
-moments_streaming() is a one-pass recurrence for long inputs and must
-agree with the reference to high precision. stats_pool() is the
-differentiable mean+stddev pooling layer of the network and records on
-the autodiff tape.
+on one utterance or on a batch of equal-length crops at once.
+stats_pool() is the differentiable mean+stddev pooling layer of the
+network and records on the autodiff tape.
 
 Conventions: population (1/T) normalization throughout, no Bessel
 correction; skewness and kurtosis are standardized moments of order 3
@@ -28,7 +26,6 @@ __all__ = [
     "POOL_EPS",
     "HosVector",
     "moments",
-    "moments_streaming",
     "hos_vector",
     "stats_pool",
 ]
@@ -63,16 +60,6 @@ class HosVector:
         return np.concatenate(parts, axis=-1)
 
 
-def _check_frames(frames, batched: bool = False) -> np.ndarray:
-    x = np.asarray(frames, dtype=np.float64)
-    if x.ndim != 2 and not (batched and x.ndim == 3):
-        shape = "[T, D] or [N, T, D]" if batched else "[T, D]"
-        raise ConfigurationError(f"frames must be {shape}, got shape {x.shape}")
-    if x.shape[-2] < 1:
-        raise DataError("empty utterance: no frames to summarize")
-    return x
-
-
 def moments(frames) -> HosVector:
     """Two-pass reference statistics of a [T, D] frame matrix, or of each
     [T, D] slice of an [N, T, D] batch.
@@ -80,7 +67,11 @@ def moments(frames) -> HosVector:
     A batch gives bitwise the same numbers as its slices one at a time:
     the reductions run over the time axis in the same order either way.
     """
-    x = _check_frames(frames, batched=True)
+    x = np.asarray(frames, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise ConfigurationError(f"frames must be [T, D] or [N, T, D], got shape {x.shape}")
+    if x.shape[-2] < 1:
+        raise DataError("empty utterance: no frames to summarize")
     mu = x.mean(axis=-2)
     centered = x - mu[..., None, :]
     var = (centered * centered).mean(axis=-2)
@@ -92,39 +83,6 @@ def moments(frames) -> HosVector:
     z2 = z * z
     skew = np.where(ok, (z2 * z).mean(axis=-2), 0.0)
     kurt = np.where(ok, (z2 * z2).mean(axis=-2), 0.0)
-    return HosVector(mu=mu, sigma=sigma, skew=skew, kurt=kurt)
-
-
-def moments_streaming(frames) -> HosVector:
-    """One-pass central-moment recurrence, vectorized over dimensions.
-
-    Maintains running sums M1..M4 and folds in one frame at a time, so
-    arbitrarily long inputs never need a second pass over the data.
-    """
-    x = _check_frames(frames)
-    d = x.shape[1]
-    m1 = np.zeros(d)
-    m2 = np.zeros(d)
-    m3 = np.zeros(d)
-    m4 = np.zeros(d)
-    n = 0
-    for row in x:
-        n += 1
-        delta = row - m1
-        delta_n = delta / n
-        delta_n2 = delta_n * delta_n
-        term1 = delta * delta_n * (n - 1)
-        m1 += delta_n
-        m4 += term1 * delta_n2 * (n * n - 3 * n + 3) + 6.0 * delta_n2 * m2 - 4.0 * delta_n * m3
-        m3 += term1 * delta_n * (n - 2) - 3.0 * delta_n * m2
-        m2 += term1
-    mu = m1
-    var = m2 / n
-    sigma = np.sqrt(var)
-    ok = sigma >= DEGENERATE_SIGMA
-    safe_m2 = np.where(ok, m2, 1.0)
-    skew = np.where(ok, np.sqrt(float(n)) * m3 / safe_m2 ** 1.5, 0.0)
-    kurt = np.where(ok, n * m4 / (safe_m2 * safe_m2), 0.0)
     return HosVector(mu=mu, sigma=sigma, skew=skew, kurt=kurt)
 
 

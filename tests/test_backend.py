@@ -13,7 +13,6 @@ from xveckit.backend import (
     fit_preprocessor,
     length_normalize,
     load_backend,
-    plda_posterior,
     read_embeddings,
     read_scores,
     read_trials,
@@ -27,6 +26,7 @@ from xveckit.errors import (
     BadMagicError,
     ConfigurationError,
     DataError,
+    ParseError,
     TruncatedFileError,
 )
 
@@ -270,27 +270,6 @@ def plda_truth():
     return mean, between, within, x, labs
 
 
-def test_plda_posterior_closed_form():
-    # with B = W = I the posterior is literally (m + n * xbar) / (n + 1)
-    d = 4
-    rng = np.random.default_rng(0)
-    m = rng.normal(size=d)
-    model = PldaModel(mean=m, between=np.eye(d), within=np.eye(d))
-    x = rng.normal(size=(5, d))
-    post_mean, post_cov = plda_posterior(model, x)
-    np.testing.assert_allclose(post_cov, np.eye(d) / 6.0, atol=1e-12)
-    np.testing.assert_allclose(post_mean, (m + x.sum(axis=0)) / 6.0, atol=1e-12)
-
-
-def test_plda_posterior_shrinks_toward_prior():
-    d = 2
-    model = PldaModel(mean=np.zeros(d), between=np.eye(d), within=4.0 * np.eye(d))
-    obs = np.array([[8.0, 0.0]])
-    post_mean, _ = plda_posterior(model, obs)
-    assert 0.0 < post_mean[0] < 8.0  # noisy single observation is discounted
-    np.testing.assert_allclose(post_mean, obs[0] / 5.0, atol=1e-12)
-
-
 def test_plda_initial_likelihood_matches_brute_force(plda_truth):
     mean, between, within, x, labs = plda_truth
     sub, sublabs = x[: 5 * 15], labs[: 5 * 15]
@@ -508,6 +487,18 @@ def test_backend_truncated(tmp_path):
     raw = (tmp_path / "b.xvbk").read_bytes()
     (tmp_path / "b.xvbk").write_bytes(raw[:-5])
     with pytest.raises(TruncatedFileError):
+        load_backend(tmp_path / "b.xvbk")
+
+
+def test_backend_rejects_metadata_line_without_equals(tmp_path):
+    pre = Preprocessor(mean=np.zeros(4), projection=np.eye(4)[:3])
+    save_backend(tmp_path / "b.xvbk", pre)
+    raw = (tmp_path / "b.xvbk").read_bytes()
+    size = int.from_bytes(raw[8:12], "little")
+    blob = raw[12:12 + size] + b"\nstray"
+    (tmp_path / "b.xvbk").write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
+                                      + raw[12 + size:])
+    with pytest.raises(ParseError, match="stray"):
         load_backend(tmp_path / "b.xvbk")
 
 

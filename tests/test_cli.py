@@ -221,3 +221,49 @@ def test_sweep_rejects_empty_grid(workspace, tmp_path):
     rc = main(["sweep", "--config", str(cfg), "--data", str(root / "corpus"),
                "--alphas", "", "--orders", "4", "--out", str(tmp_path / "s")])
     assert rc == 1
+
+
+def test_sweep_plda_scores_match_score_command(workspace, tmp_path):
+    root, cfg = workspace
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--data", str(root / "corpus"),
+                 "--alphas", "0.3", "--orders", "4", "--scorer", "plda", "--out", str(out)]) == 0
+    system = out / "MT-o4-a3"
+    rescored = tmp_path / "rescored.txt"
+    assert main(["score", "--config", str(cfg), "--trials", str(system / "trials.txt"),
+                 "--embeddings", str(system / "embeddings.xveb"),
+                 "--backend", str(system / "backend.xvbk"), "--scorer", "plda",
+                 "--out", str(rescored)]) == 0
+    assert rescored.read_bytes() == (system / "scores.txt").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# malformed artifacts
+# ---------------------------------------------------------------------------
+
+# offset: the first byte of the metadata blob (checkpoint, backend) or of
+# the first utterance id (embedding archive)
+@pytest.mark.parametrize("artifact, offset",
+                         [("model.ckpt", 12), ("backend.xvbk", 12), ("held.xveb", 20)])
+def test_non_utf8_artifact_exits_one(workspace, tmp_path, caplog, artifact, offset):
+    root, cfg = workspace
+    from xveckit.backend import all_pairs_trials, read_embeddings, write_trials
+    files = {"model.ckpt": root / "sys" / "model.ckpt", "held.xveb": root / "held.xveb",
+             "backend.xvbk": tmp_path / "backend.xvbk"}
+    assert main(["train-backend", "--config", str(cfg), "--embeddings", str(files["held.xveb"]),
+                 "--out", str(files["backend.xvbk"])]) == 0
+    raw = bytearray(files[artifact].read_bytes())
+    raw[offset] = 0xFF
+    files[artifact] = tmp_path / f"bad-{artifact}"
+    files[artifact].write_bytes(raw)
+    if artifact == "model.ckpt":
+        argv = ["extract", "--model", str(files["model.ckpt"]), "--data", str(root / "corpus"),
+                "--out", str(tmp_path / "e.xveb")]
+    else:
+        _, spk = read_embeddings(root / "held.xveb")
+        write_trials(tmp_path / "trials.txt", all_pairs_trials(spk))
+        argv = ["score", "--trials", str(tmp_path / "trials.txt"),
+                "--embeddings", str(files["held.xveb"]), "--backend", str(files["backend.xvbk"]),
+                "--scorer", "plda", "--out", str(tmp_path / "s.txt")]
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert "is not utf-8" in caplog.text

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xveckit import binio
 from xveckit.autodiff import (
     OptimizerState,
     Tape,
@@ -27,6 +28,7 @@ from xveckit.errors import (
     ConfigurationError,
     DataError,
     InputTooShortError,
+    ParseError,
     TrainingDivergedError,
     TruncatedFileError,
 )
@@ -434,6 +436,37 @@ def test_checkpoint_truncated(tmp_path):
     (tmp_path / "x.ckpt").write_bytes(raw[: len(raw) // 2])
     with pytest.raises(TruncatedFileError):
         load_checkpoint(tmp_path / "x.ckpt")
+
+
+def test_checkpoint_missing_optimizer_key(tmp_path):
+    model = build_model(MINIATURE_CONFIG)
+    model.opt_state = OptimizerState(model.params)
+    save_checkpoint(model, tmp_path / "x.ckpt")
+    raw = (tmp_path / "x.ckpt").read_bytes()
+    (tmp_path / "x.ckpt").write_bytes(raw.replace(b"opt_eps=", b"opt_xps=", 1))
+    with pytest.raises(ParseError, match="opt_eps"):
+        load_checkpoint(tmp_path / "x.ckpt")
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(MINIATURE_CONFIG), path)
+    previous = path.read_bytes()
+    write_array = binio.write_array
+    calls = []
+
+    def failing_write_array(fh, arr):
+        calls.append(arr.shape)
+        if len(calls) == 3:
+            raise OSError("no space left on device")
+        write_array(fh, arr)
+
+    monkeypatch.setattr(binio, "write_array", failing_write_array)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(build_model(replace(MINIATURE_CONFIG, seed=8)), path)
+    assert len(calls) == 3
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Moment statistics: reference, streaming recurrence, and the pooling layer."""
+"""Moment statistics: the two-pass reference and the pooling layer."""
 
 import math
 
@@ -12,7 +12,6 @@ from xveckit.stats import (
     POOL_EPS,
     hos_vector,
     moments,
-    moments_streaming,
     stats_pool,
 )
 
@@ -108,41 +107,6 @@ def test_frame_order_invariance(frames):
 
 
 # ---------------------------------------------------------------------------
-# streaming recurrence vs two-pass reference
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("seed", range(5))
-def test_streaming_matches_reference(seed):
-    rng = np.random.default_rng(seed)
-    t = int(rng.integers(2, 3000))
-    x = rng.standard_t(df=5, size=(t, 4)) * 3.0 + rng.normal(size=4)
-    a, b = moments(x), moments_streaming(x)
-    np.testing.assert_allclose(b.mu, a.mu, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(b.sigma, a.sigma, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(b.skew, a.skew, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(b.kurt, a.kurt, rtol=1e-10, atol=1e-10)
-
-
-def test_streaming_survives_large_offset():
-    # raw-moment accumulation would lose ~24 digits here; the shifted
-    # recurrence keeps standardized stats to ~1e-8
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(5000, 3)) + 1e6
-    a, b = moments(x), moments_streaming(x)
-    np.testing.assert_allclose(b.mu, a.mu, rtol=1e-12)
-    np.testing.assert_allclose(b.sigma, a.sigma, atol=1e-9)
-    np.testing.assert_allclose(b.skew, a.skew, atol=1e-7)
-    np.testing.assert_allclose(b.kurt, a.kurt, atol=1e-7)
-
-
-def test_streaming_single_frame():
-    m = moments_streaming([[3.0, -1.0]])
-    np.testing.assert_array_equal(m.mu, [3.0, -1.0])
-    np.testing.assert_array_equal(m.sigma, [0.0, 0.0])
-    np.testing.assert_array_equal(m.skew, [0.0, 0.0])
-
-
-# ---------------------------------------------------------------------------
 # concat layout and validation
 # ---------------------------------------------------------------------------
 
@@ -176,8 +140,6 @@ def test_moments_input_validation():
         moments(np.empty((0, 4)))
     with pytest.raises(ConfigurationError):
         moments(np.zeros(7))
-    with pytest.raises(ConfigurationError):
-        moments_streaming(np.zeros((2, 3, 4)))
 
 
 # ---------------------------------------------------------------------------
