@@ -2,10 +2,10 @@
 
 The engine is deliberately small: a Tensor wrapping an ndarray, a Tape
 recording executed primitives in order, and exactly the operations the
-embedding network needs (dilated 1-d convolution and dense layers, both
-with an optional built-in relu, batch normalization over [N, F] or
-[N, T, F], statistics pooling lives in stats.py, the two losses, and a
-handful of glue ops). Backward runs the tape once in reverse; every op's
+embedding network needs: dilated 1-d convolution and dense layers, both
+with an optional built-in relu; batch normalization over [N, F] or
+[N, T, F]; the two losses; and a handful of glue ops. Statistics pooling
+lives in stats.py. Backward runs the tape once in reverse; every op's
 backward closure accumulates into the gradients of its inputs, and the
 first write to a gradient stores a copy, never the caller's array.
 
@@ -78,9 +78,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""

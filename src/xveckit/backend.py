@@ -397,7 +397,7 @@ def all_pairs_trials(speaker_of: dict[str, str]) -> list[Trial]:
 def read_trials(path: Path | str) -> list[Trial]:
     path = Path(path)
     trials = []
-    with path.open() as fh:
+    with binio.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -428,7 +428,7 @@ def write_scores(path: Path | str, score_set: ScoreSet) -> None:
 def read_scores(path: Path | str) -> dict[tuple[str, str], float]:
     path = Path(path)
     scores: dict[tuple[str, str], float] = {}
-    with path.open() as fh:
+    with binio.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -539,4 +539,9 @@ def read_embeddings(path: Path | str) -> tuple[dict[str, np.ndarray], dict[str, 
         vectors[utt] = vec
         speakers[utt] = spk
     reader.expect_exhausted()
+    if vectors:  # one check over all rows: a per-vector one costs more than the read
+        finite = np.isfinite(np.stack(list(vectors.values()))).all(axis=1)
+        if not finite.all():
+            utt = list(vectors)[int(np.argmin(finite))]
+            raise ParseError(f"{path}: non-finite value in the embedding of utterance '{utt}'")
     return vectors, speakers

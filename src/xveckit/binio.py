@@ -4,8 +4,13 @@ Every tensor is stored as u32 rank, u32 dims, then float32 payload.
 Strings are a u32 byte length followed by utf-8 bytes. The metadata blob
 of checkpoints and backends is one such string holding key=value lines;
 write_meta and Reader.meta are its only writer and parser, and
-Reader.text is the only place that decodes utf-8, raising ParseError on
-bytes that are not.
+Reader.text and open_text (text files) are the only places that decode
+utf-8. Non-utf-8 bytes and non-finite tensor values raise ParseError.
+
+The field codec, format_field and parse_field, turns one dataclass field
+into text and back, chosen by the field's annotation (int, float, str,
+bool, tuple[int, ...], float | None). config.txt and the config part of
+checkpoint metadata are both written and read through it.
 
 Artifacts are written through atomic_write, so a reader sees either the
 previous file or the complete new one, never a partial write.
@@ -23,8 +28,47 @@ import numpy as np
 
 from .errors import ParseError, TruncatedFileError
 
-__all__ = ["Reader", "atomic_write", "write_u32", "write_blob", "write_meta", "write_array",
-           "read_array"]
+__all__ = ["Reader", "atomic_write", "format_field", "parse_field", "open_text", "write_u32",
+           "write_blob", "write_meta", "write_array", "read_array"]
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw == "true"
+
+
+# annotation -> (formatter, parser); parsers raise ValueError on bad text
+_FIELD_CODECS = {
+    "int": (str, int),
+    "float": (lambda v: repr(float(v)), float),
+    "str": (str, str),
+    "bool": (lambda v: "true" if v else "false", _parse_bool),
+    "tuple[int, ...]": (lambda v: ",".join(str(x) for x in v),
+                        lambda raw: tuple(int(x) for x in raw.split(","))),
+    "float | None": (lambda v: "none" if v is None else repr(float(v)),
+                     lambda raw: None if raw == "none" else float(raw)),
+}
+
+
+def format_field(annotation: str, value) -> str:
+    """Text form of a dataclass field value; parse_field inverts it."""
+    return _FIELD_CODECS[annotation][0](value)
+
+
+def parse_field(annotation: str, raw: str):
+    """Value of a dataclass field from its text form; ValueError if malformed."""
+    return _FIELD_CODECS[annotation][1](raw)
+
+
+@contextlib.contextmanager
+def open_text(path: Path | str, newline: str | None = None):
+    """Open a utf-8 text file for reading; bytes that are not raise ParseError."""
+    try:
+        with Path(path).open(encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: text is not utf-8 ({err.reason})") from None
 
 
 class Reader:
@@ -72,13 +116,14 @@ class Reader:
 
 
 @contextlib.contextmanager
-def atomic_write(path: Path | str, mode: str = "wb"):
-    """Open a new file beside `path` for writing ("wb" or "w"); it replaces
-    `path` when the block completes and is removed if the block raises."""
+def atomic_write(path: Path | str, mode: str = "wb", newline: str | None = None):
+    """Open a new file beside `path` for writing ("wb" or "w", with `newline`
+    as in open()); it replaces `path` when the block completes and is
+    removed if the block raises."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
     try:
-        with tmp.open(mode.replace("w", "x")) as fh:
+        with tmp.open(mode.replace("w", "x"), newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -111,4 +156,7 @@ def read_array(reader: Reader) -> np.ndarray:
     n_vals = 1
     for d in dims:
         n_vals *= d
-    return np.frombuffer(reader.take(4 * n_vals), dtype="<f4").reshape(dims)
+    arr = np.frombuffer(reader.take(4 * n_vals), dtype="<f4").reshape(dims)
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{reader.path}: non-finite value in the tensor before byte {reader.off}")
+    return arr

@@ -7,7 +7,9 @@ systems over a task-weight/order grid and print one comparison table).
 Configuration is a flat key = value text file; every key has a default,
 unknown keys are rejected, and the effective values are logged at
 startup. --seed, --alpha, --order, --lda-dim, and --scorer override the
-file from the command line.
+file from the command line. Values are written and parsed by binio's
+field codec, the one checkpoint metadata uses, and the corpus, model and
+detection-cost settings are RunConfig's fields of the same names.
 
 Exit codes: 0 success, 1 for usage/validation/data problems, 2 for
 internal errors.
@@ -25,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import backend as bk
+from . import binio
 from .data import CorpusSpec, Manifest, energy_vad, generate_corpus
 from .errors import ConfigurationError, DataError, ToolkitError, UsageError
 from .metrics import DcfParams, MetricsReport, detection_metrics
@@ -98,29 +101,11 @@ class RunConfig:
             raise ConfigurationError("; ".join(problems))
 
 
-_TUPLE_KEYS = {"frame_widths", "kernel_sizes", "dilations"}
-_BOOL_KEYS = {"length_norm"}
-_OPTIONAL_FLOAT_KEYS = {"vad_offset"}
-_STR_KEYS = {"scorer"}
-_FLOAT_KEYS = {"ar_coeff", "spread", "task_weight", "learning_rate", "weight_decay",
-               "beta1", "beta2", "adam_eps", "p_target", "c_miss", "c_fa"}
-_ALL_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
-
-def _parse_value(key: str, raw: str):
-    if key in _TUPLE_KEYS:
-        return tuple(int(v) for v in raw.split(","))
-    if key in _BOOL_KEYS:
-        if raw not in ("true", "false"):
-            raise ValueError(f"expected true or false, got {raw!r}")
-        return raw == "true"
-    if key in _OPTIONAL_FLOAT_KEYS:
-        return None if raw == "none" else float(raw)
-    if key in _STR_KEYS:
-        return raw
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return int(raw)
+# command-line flag -> the RunConfig field it overrides
+_FLAG_FIELDS = {"seed": "seed", "lda_dim": "lda_dim", "alpha": "task_weight",
+                "order": "mtl_order", "scorer": "scorer"}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -134,10 +119,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigurationError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _FIELDS:
             raise ConfigurationError(f"config line {lineno}: unknown key '{key}'")
         try:
-            values[key] = _parse_value(key, raw)
+            values[key] = binio.parse_field(_FIELDS[key].type, raw)
         except ValueError as err:
             raise ConfigurationError(f"config line {lineno}: bad value for {key}: {err}") from None
     config = RunConfig(**values)
@@ -147,67 +132,32 @@ def parse_config(text: str) -> RunConfig:
 
 def serialize_config(config: RunConfig) -> str:
     """Canonical text form; parse(serialize(c)) == c."""
-    lines = []
-    for key in _ALL_KEYS:
-        value = getattr(config, key)
-        if key in _TUPLE_KEYS:
-            text = ",".join(str(v) for v in value)
-        elif value is None:
-            text = "none"
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {binio.format_field(f.type, getattr(config, key))}\n"
+                   for key, f in _FIELDS.items())
 
 
 def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
-        config = parse_config(Path(args.config).read_text())
+        with binio.open_text(args.config) as fh:
+            config = parse_config(fh.read())
     else:
         config = RunConfig()
-    for key in ("seed", "lda_dim"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config = replace(config, **{key: value})
-    if getattr(args, "alpha", None) is not None:
-        config = replace(config, task_weight=args.alpha)
-    if getattr(args, "order", None) is not None:
-        config = replace(config, mtl_order=args.order)
+    overrides = {key: getattr(args, flag) for flag, key in _FLAG_FIELDS.items()
+                 if getattr(args, flag, None) is not None}
+    config = replace(config, **overrides)
     if config.mtl_order == 0:
         config = replace(config, task_weight=0.0)
-    if getattr(args, "scorer", None) is not None:
-        config = replace(config, scorer=args.scorer)
     config.validate()
     for line in serialize_config(config).splitlines():
         log.info("config: %s", line)
     return config
 
 
-def _corpus_spec(config: RunConfig) -> CorpusSpec:
-    return CorpusSpec(num_speakers=config.num_speakers,
-                      utterances_per_speaker=config.utterances_per_speaker,
-                      feature_dim=config.feature_dim,
-                      min_frames=config.min_frames, max_frames=config.max_frames,
-                      ar_coeff=config.ar_coeff, spread=config.spread, seed=config.seed)
-
-
-def _model_config(config: RunConfig, num_speakers: int) -> ModelConfig:
-    return ModelConfig(feature_dim=config.feature_dim, num_speakers=num_speakers,
-                       frame_widths=config.frame_widths, kernel_sizes=config.kernel_sizes,
-                       dilations=config.dilations, segment_width=config.segment_width,
-                       mtl_order=config.mtl_order, task_weight=config.task_weight,
-                       learning_rate=config.learning_rate, weight_decay=config.weight_decay,
-                       beta1=config.beta1, beta2=config.beta2, adam_eps=config.adam_eps,
-                       batch_size=config.batch_size, epochs=config.epochs,
-                       crop_length=config.crop_length, seed=config.seed)
-
-
-def _dcf_params(config: RunConfig) -> DcfParams:
-    return DcfParams(p_target=config.p_target, c_miss=config.c_miss, c_fa=config.c_fa)
+def _project(config: RunConfig, cls, **overrides):
+    """An instance of dataclass `cls` with each field taken from `config`
+    by name, except those given in `overrides`."""
+    values = {f.name: getattr(config, f.name) for f in dataclasses.fields(cls)}
+    return cls(**{**values, **overrides})
 
 
 def system_name(order: int, alpha: float) -> str:
@@ -240,11 +190,16 @@ def _extract_all(model, manifest: Manifest,
     return vectors, speakers
 
 
+def _write_text(path: Path | str, text: str) -> None:
+    with binio.atomic_write(path, "w") as fh:
+        fh.write(text)
+
+
 # --- subcommands ---
 
 def _cmd_gen_data(args) -> int:
     config = _load_config(args)
-    manifest = generate_corpus(_corpus_spec(config), args.out)
+    manifest = generate_corpus(_project(config, CorpusSpec), args.out)
     print(f"wrote {len(manifest)} utterances from {len(manifest.speakers)} speakers to {args.out}")
     return 0
 
@@ -253,10 +208,11 @@ def _train_system(config: RunConfig, train_part: Manifest,
                   out: Path) -> tuple[Model, list[EpochStats]]:
     """Build a model for `train_part`, train it, and write config.txt,
     model.ckpt and train_log.csv into `out`."""
-    model = build_model(_model_config(config, len(train_part.speakers)))
+    model = build_model(_project(config, ModelConfig,
+                                 num_speakers=len(train_part.speakers)))
     model.corpus_seed = config.seed
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(serialize_config(config))
+    _write_text(out / "config.txt", serialize_config(config))
     return model, train(model, train_part, out_dir=out)
 
 
@@ -347,10 +303,10 @@ def _cmd_evaluate(args) -> int:
     values = np.array(values)
     target_mask = np.array([t.target for t in trials], dtype=bool)
     report = detection_metrics(values[target_mask], values[~target_mask],
-                               _dcf_params(config))
+                               _project(config, DcfParams))
     print(report.format_table())
     if args.out:
-        Path(args.out).write_text(report.to_csv())
+        _write_text(args.out, report.to_csv())
     return 0
 
 
@@ -384,8 +340,8 @@ def _run_system(config: RunConfig, manifest: Manifest, out: Path) -> MetricsRepo
         backend = out / "backend.xvbk"
         _fit_backend(config, *_extract_all(model, train_part, config), backend)
     score_set = _score(config, trials, held_vecs, backend, out / "scores.txt")
-    report = detection_metrics(score_set, params=_dcf_params(config))
-    (out / "metrics.csv").write_text(report.to_csv())
+    report = detection_metrics(score_set, params=_project(config, DcfParams))
+    _write_text(out / "metrics.csv", report.to_csv())
     return report
 
 
@@ -404,7 +360,7 @@ def _cmd_sweep(args) -> int:
     else:
         corpus_dir = out / "corpus"
         log.info("no --data given; generating corpus into %s", corpus_dir)
-        manifest = generate_corpus(_corpus_spec(config), corpus_dir)
+        manifest = generate_corpus(_project(config, CorpusSpec), corpus_dir)
 
     systems: list[tuple[str, int, float]] = []
     for order in orders:
@@ -431,7 +387,7 @@ def _cmd_sweep(args) -> int:
     csv_lines = ["system,eer,min_dcf,act_dcf"]
     csv_lines += [f"{name},{rep.eer!r},{rep.min_dcf!r},{rep.act_dcf!r}"
                   for name, rep in results]
-    (out / "sweep.csv").write_text("\n".join(csv_lines) + "\n")
+    _write_text(out / "sweep.csv", "\n".join(csv_lines) + "\n")
     return 0
 
 

@@ -24,12 +24,14 @@ from typing import Iterator
 
 import numpy as np
 
+from . import binio
 from .errors import (
     BadMagicError,
     ConfigurationError,
     DataError,
     DimMismatchError,
     EmptyAfterVadError,
+    ParseError,
     TruncatedFileError,
 )
 from .stats import hos_vector
@@ -170,8 +172,7 @@ class Manifest:
         return Manifest(train, self.base_dir), Manifest(held, self.base_dir)
 
     def save(self, path: Path | str) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
+        with binio.atomic_write(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["utt_id", "speaker_id", "path", "num_frames"])
             for e in self.entries:
@@ -181,7 +182,7 @@ class Manifest:
     def load(cls, path: Path | str) -> "Manifest":
         path = Path(path)
         entries = []
-        with path.open(newline="") as fh:
+        with binio.open_text(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["utt_id", "speaker_id", "path", "num_frames"]:
@@ -217,6 +218,9 @@ def read_features(path: Path | str, utt_id: str = "", speaker_id: str = "") -> F
     if len(raw) != expected:
         raise TruncatedFileError(f"{path}: header promises {expected} bytes, file has {len(raw)}")
     frames = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(t, d)
+    if not np.isfinite(frames).all():
+        row = np.flatnonzero(~np.isfinite(frames).all(axis=1))[0]
+        raise ParseError(f"{path}: non-finite value in utterance '{utt_id}', frame {row}")
     return FeatureMatrix(utt_id=utt_id, speaker_id=speaker_id, frames=frames.copy())
 
 

@@ -19,16 +19,19 @@ The joint objective is task_weight * reconstruction_mse +
 task_weight 0 with mtl_order 0 is the plain classification baseline.
 
 Checkpoints are little-endian binary: magic "XVCK", u32 format version,
-the key=value metadata blob that binio writes and parses (config, step
-counter, corpus seed, optimizer hyperparameters), then u32 tensor count
-and each tensor as u32 rank, u32 dims, float32 data. Tensors appear in
-declaration order: trainable parameters, batch-norm running stats, then
-optimizer moments. Models train in float32; save -> load is bitwise
-exact and resuming reproduces the uninterrupted loss trajectory.
+the key=value metadata blob that binio writes and parses (every
+ModelConfig field through binio's field codec, step counter, corpus
+seed, optimizer hyperparameters), then u32 tensor count and each tensor
+as u32 rank, u32 dims, float32 data. Tensors appear in declaration
+order: trainable parameters, batch-norm running stats, then optimizer
+moments (_state_arrays); the rollback after a divergence copies and
+restores the same list. Models train in float32; save -> load is
+bitwise exact and resuming reproduces the uninterrupted loss trajectory.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import time
@@ -341,36 +344,20 @@ def multitask_loss(logits: Tensor, labels, reconstruction: Tensor | None,
     return LossParts(total=total, ce=ce, mse=mse)
 
 
-def _snapshot(model: Model) -> dict:
-    state = {
-        "params": {k: p.data.copy() for k, p in model.params.items()},
-        "bn": {k: (s.mean.copy(), s.var.copy()) for k, s in model.bn_states.items()},
-        "step": model.step,
-        "trained_epochs": model.trained_epochs,
-        "opt": None,
-    }
-    if model.opt_state is not None:
-        o = model.opt_state
-        state["opt"] = (o.step_count,
-                        {k: m.copy() for k, m in o.first_moment.items()},
-                        {k: v.copy() for k, v in o.second_moment.items()})
-    return state
+def _snapshot(model: Model) -> tuple:
+    """Copies of the checkpoint's tensors, plus the step counters."""
+    opt_count = model.opt_state.step_count if model.opt_state is not None else None
+    return ([a.copy() for a in _state_arrays(model)], model.step, model.trained_epochs,
+            opt_count)
 
 
-def _restore(model: Model, state: dict) -> None:
-    for k, arr in state["params"].items():
-        model.params[k].data = arr.copy()
-    for k, (mean, var) in state["bn"].items():
-        model.bn_states[k].mean = mean.copy()
-        model.bn_states[k].var = var.copy()
-    model.step = state["step"]
-    model.trained_epochs = state["trained_epochs"]
-    if state["opt"] is not None and model.opt_state is not None:
-        count, first, second = state["opt"]
-        model.opt_state.step_count = count
-        for k in first:
-            model.opt_state.first_moment[k] = first[k].copy()
-            model.opt_state.second_moment[k] = second[k].copy()
+def _restore(model: Model, state: tuple) -> None:
+    """Write a _snapshot back into the model's arrays in place."""
+    arrays, model.step, model.trained_epochs, opt_count = state
+    for dest, saved in zip(_state_arrays(model), arrays, strict=True):
+        dest[...] = saved
+    if opt_count is not None:
+        model.opt_state.step_count = opt_count
 
 
 def _write_log(path: Path, rows: list[tuple]) -> None:
@@ -527,10 +514,10 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
 
     Defaults to the miniature network sized up to batch 16 / crop 64 so
     the measurement reflects arithmetic, not per-op dispatch. After one
-    warmup of each system, the timed runs alternate between the two
-    systems, so that a change in machine speed during the measurement
-    falls on both; each system's fastest run wins, which filters
-    scheduling noise.
+    untimed num_steps run of each system (a short warmup left the first
+    timed run up to 2x slower), the timed runs alternate between the two
+    systems, so that a change in machine speed falls on both; each
+    system's fastest run wins, which filters scheduling noise.
     """
     from .stats import hos_vector
 
@@ -557,7 +544,7 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
         return time.perf_counter() - start
 
     for key in systems:
-        timed_run(key, 5)  # warmup
+        timed_run(key, num_steps)  # warmup
     times: dict[str, list[float]] = {key: [] for key in systems}
     for _ in range(repeats):
         for key in systems:
@@ -569,11 +556,10 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
 
 # --- checkpoint serialization ---
 
-_CONFIG_KEYS = ["feature_dim", "num_speakers", "frame_widths", "kernel_sizes", "dilations",
-                "segment_width", "mtl_order", "task_weight", "learning_rate", "weight_decay",
-                "beta1", "beta2", "adam_eps", "batch_size", "epochs", "crop_length", "seed"]
-_INT_TUPLE_KEYS = {"frame_widths", "kernel_sizes", "dilations"}
-_FLOAT_KEYS = {"task_weight", "learning_rate", "weight_decay", "beta1", "beta2", "adam_eps"}
+# metadata besides the config: Model counters, then OptimizerState
+# hyperparameters under an "opt_" prefix
+_COUNTERS = ("step", "trained_epochs", "corpus_seed")
+_OPT_FLOATS = ("learning_rate", "beta1", "beta2", "eps")
 
 
 def _state_arrays(model: Model) -> list[np.ndarray]:
@@ -588,21 +574,14 @@ def _state_arrays(model: Model) -> list[np.ndarray]:
 
 
 def save_checkpoint(model: Model, path: Path | str) -> None:
-    meta: dict[str, object] = {}
-    for key in _CONFIG_KEYS:
-        value = getattr(model.config, key)
-        meta[key] = ",".join(str(v) for v in value) if key in _INT_TUPLE_KEYS else value
-    meta["step"] = model.step
-    meta["trained_epochs"] = model.trained_epochs
-    meta["corpus_seed"] = model.corpus_seed
+    meta: dict[str, object] = {f.name: binio.format_field(f.type, getattr(model.config, f.name))
+                               for f in dataclasses.fields(ModelConfig)}
+    meta.update({key: getattr(model, key) for key in _COUNTERS})
     o = model.opt_state
     meta["has_opt"] = int(o is not None)
     if o is not None:
         meta["opt_step_count"] = o.step_count
-        meta["opt_learning_rate"] = repr(o.learning_rate)
-        meta["opt_beta1"] = repr(o.beta1)
-        meta["opt_beta2"] = repr(o.beta2)
-        meta["opt_eps"] = repr(o.eps)
+        meta.update({f"opt_{key}": repr(getattr(o, key)) for key in _OPT_FLOATS})
 
     arrays = _state_arrays(model)
     with binio.atomic_write(path) as fh:
@@ -624,37 +603,19 @@ def load_checkpoint(path: Path | str) -> Model:
         raise ParseError(f"{path}: unsupported checkpoint version {version}")
     meta = reader.meta()
 
-    kwargs = {}
     try:
-        for key in _CONFIG_KEYS:
-            raw = meta[key]
-            if key in _INT_TUPLE_KEYS:
-                kwargs[key] = tuple(int(v) for v in raw.split(","))
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = int(raw)
-        step = int(meta["step"])
-        trained_epochs = int(meta["trained_epochs"])
-        corpus_seed = int(meta["corpus_seed"])
-        opt = None
+        model = build_model(ModelConfig(**{f.name: binio.parse_field(f.type, meta[f.name])
+                                           for f in dataclasses.fields(ModelConfig)}))
+        for key in _COUNTERS:
+            setattr(model, key, int(meta[key]))
         if int(meta["has_opt"]):
-            opt = (int(meta["opt_step_count"]), float(meta["opt_learning_rate"]),
-                   float(meta["opt_beta1"]), float(meta["opt_beta2"]), float(meta["opt_eps"]))
+            model.opt_state = OptimizerState(
+                model.params, **{key: float(meta[f"opt_{key}"]) for key in _OPT_FLOATS})
+            model.opt_state.step_count = int(meta["opt_step_count"])
     except KeyError as err:
         raise ParseError(f"{path}: missing metadata key {err}") from None
     except ValueError as err:
         raise ParseError(f"{path}: bad metadata value ({err})") from None
-
-    model = build_model(ModelConfig(**kwargs), dtype=np.float32)
-    model.step = step
-    model.trained_epochs = trained_epochs
-    model.corpus_seed = corpus_seed
-    if opt is not None:
-        step_count, learning_rate, beta1, beta2, eps = opt
-        model.opt_state = OptimizerState(model.params, learning_rate=learning_rate,
-                                         beta1=beta1, beta2=beta2, eps=eps)
-        model.opt_state.step_count = step_count
 
     targets = _state_arrays(model)
     count = reader.u32()

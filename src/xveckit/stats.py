@@ -48,10 +48,6 @@ class HosVector:
     skew: np.ndarray
     kurt: np.ndarray
 
-    @property
-    def feature_dim(self) -> int:
-        return self.mu.shape[-1]
-
     def concat(self, order: int = 4) -> np.ndarray:
         """Concatenated layout [mu, sigma, skew, kurt][:order], length order * D."""
         if order not in (1, 2, 3, 4):

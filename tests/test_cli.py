@@ -1,10 +1,17 @@
 """Command-line surface: config files, subcommands, and the sweep driver."""
 
+import dataclasses
+import shutil
+
 import numpy as np
 import pytest
 
+from xveckit.backend import read_embeddings, write_embeddings
 from xveckit.cli import RunConfig, main, parse_config, serialize_config, system_name
+from xveckit.data import CorpusSpec
 from xveckit.errors import ConfigurationError
+from xveckit.metrics import DcfParams
+from xveckit.model import ModelConfig
 
 MICRO = """
 num_speakers = 4
@@ -61,6 +68,21 @@ def test_config_parses_types():
     assert cfg.length_norm is True
     assert cfg.vad_offset is None
     assert isinstance(cfg.task_weight, float)
+
+
+def test_config_numpy_floats_roundtrip():
+    cfg = RunConfig(task_weight=np.float64(0.3), spread=np.float32(0.25),
+                    vad_offset=np.float64(1.5))
+    text = serialize_config(cfg)
+    assert "task_weight = 0.3\n" in text and "vad_offset = 1.5\n" in text
+    assert parse_config(text) == cfg
+
+
+@pytest.mark.parametrize("cls", [CorpusSpec, ModelConfig, DcfParams], ids=lambda c: c.__name__)
+def test_projected_fields_exist_in_run_config(cls):
+    run_fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    for f in dataclasses.fields(cls):
+        assert run_fields.get(f.name) == f.type, f.name
 
 
 def test_config_skips_comments_and_blanks():
@@ -267,3 +289,41 @@ def test_non_utf8_artifact_exits_one(workspace, tmp_path, caplog, artifact, offs
                 "--scorer", "plda", "--out", str(tmp_path / "s.txt")]
     assert main(argv + ["--config", str(cfg)]) == 1
     assert "is not utf-8" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["train", "extract"])
+def test_non_finite_feature_exits_one(workspace, tmp_path, caplog, command):
+    root, cfg = workspace
+    corpus = tmp_path / "corpus"
+    shutil.copytree(root / "corpus", corpus)
+    feature = corpus / "features" / "spk0001_utt0002.xvf"  # in the train split
+    raw = bytearray(feature.read_bytes())
+    raw[12 + 4 * 7: 12 + 4 * 8] = np.float32(np.nan).tobytes()  # frame 1, dim 1
+    feature.write_bytes(raw)
+    if command == "train":
+        argv = ["train", "--data", str(corpus), "--out", str(tmp_path / "sys")]
+    else:
+        argv = ["extract", "--model", str(root / "sys" / "model.ckpt"), "--data", str(corpus),
+                "--split", "train", "--out", str(tmp_path / "e.xveb")]
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert "non-finite value in utterance 'spk0001_utt0002', frame 1" in caplog.text
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("command", ["train-backend", "score"])
+def test_non_finite_embedding_exits_one(workspace, tmp_path, caplog, command, value):
+    root, cfg = workspace
+    from xveckit.backend import all_pairs_trials, write_trials
+    vectors, speakers = read_embeddings(root / "held.xveb")
+    bad_utt = sorted(vectors)[4]
+    vectors[bad_utt][2] = value
+    embeddings = tmp_path / "bad.xveb"
+    write_embeddings(embeddings, vectors, speakers)
+    if command == "train-backend":
+        argv = ["train-backend", "--embeddings", str(embeddings), "--out", str(tmp_path / "b")]
+    else:
+        write_trials(tmp_path / "trials.txt", all_pairs_trials(speakers))
+        argv = ["score", "--trials", str(tmp_path / "trials.txt"),
+                "--embeddings", str(embeddings), "--out", str(tmp_path / "s.txt")]
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert f"non-finite value in the embedding of utterance '{bad_utt}'" in caplog.text

@@ -1,8 +1,11 @@
 """Corpus generation, feature files, manifests, VAD, and batching."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from xveckit import data
 from xveckit.data import (
     MIN_CROP,
     CorpusSpec,
@@ -21,6 +24,7 @@ from xveckit.errors import (
     DataError,
     DimMismatchError,
     EmptyAfterVadError,
+    ParseError,
     TruncatedFileError,
 )
 from xveckit.stats import hos_vector, moments
@@ -142,6 +146,16 @@ def test_feature_bad_header_dims(tmp_path):
         read_features(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_feature_rejects_non_finite(tmp_path, value):
+    frames = np.zeros((10, 3), dtype=np.float32)
+    frames[6, 1] = value
+    path = tmp_path / "n.xvf"
+    write_features(path, FeatureMatrix("n", "s", frames))
+    with pytest.raises(ParseError, match=r"n\.xvf: non-finite value in utterance 'u7', frame 6"):
+        read_features(path, utt_id="u7")
+
+
 def test_manifest_frame_count_mismatch(tmp_path):
     frames = np.zeros((10, 3), dtype=np.float32)
     write_features(tmp_path / "u.xvf", FeatureMatrix("u", "s", frames))
@@ -174,6 +188,40 @@ def test_manifest_rejects_bad_row(tmp_path):
     p.write_text("utt_id,speaker_id,path,num_frames\nu,s,u.xvf,many\n")
     with pytest.raises(DataError, match="2"):
         Manifest.load(p)
+
+
+def test_manifest_rejects_non_utf8(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"utt_id,speaker_id,path,num_frames\nu\xff,s,u.xvf,10\n")
+    with pytest.raises(ParseError, match="is not utf-8"):
+        Manifest.load(p)
+
+
+def test_manifest_save_failure_keeps_previous_file(corpus, tmp_path, monkeypatch):
+    manifest, _ = corpus
+    path = tmp_path / "manifest.csv"
+    manifest.save(path)
+    previous = path.read_bytes()
+    assert previous.count(b"\r\n") == len(manifest) + 1  # csv line ends survive
+    rows = []
+    real_writer = csv.writer
+
+    class FailingWriter:
+        def __init__(self, fh):
+            self.inner = real_writer(fh)
+
+        def writerow(self, row):
+            rows.append(row)
+            if len(rows) == 3:
+                raise OSError("no space left on device")
+            self.inner.writerow(row)
+
+    monkeypatch.setattr(data.csv, "writer", FailingWriter)
+    with pytest.raises(OSError, match="no space"):
+        Manifest(manifest.entries[::-1], manifest.base_dir).save(path)
+    assert len(rows) == 3
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
 
 
 def test_speaker_index_is_sorted_and_stable(corpus):

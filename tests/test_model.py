@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xveckit import binio
+from xveckit import model as model_module
 from xveckit.autodiff import (
     OptimizerState,
     Tape,
@@ -400,6 +401,37 @@ def test_divergence_restores_last_good_state(corpus, tmp_path):
     assert (tmp_path / "train_log.csv").read_text().splitlines() == ["epoch,step,loss,ce,mse"]
 
 
+def state_bytes(model: Model) -> dict[str, bytes]:
+    state = {f"param.{k}": b for k, b in params_bytes(model).items()}
+    for name, st in model.bn_states.items():
+        state[f"bn.{name}.mean"] = st.mean.tobytes()
+        state[f"bn.{name}.var"] = st.var.tobytes()
+    for name in model.params:
+        state[f"adam.{name}.m"] = model.opt_state.first_moment[name].tobytes()
+        state[f"adam.{name}.v"] = model.opt_state.second_moment[name].tobytes()
+    return state
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_divergence_restores_last_completed_epoch(corpus, tmp_path):
+    model = build_model(MINIATURE_CONFIG)
+    train(model, corpus, epochs=1)
+    epoch_one = state_bytes(model)
+    counters = (model.step, model.trained_epochs, model.opt_state.step_count)
+    assert counters == (5, 1, 5)
+    # the first update of epoch 2 flings weights to +-1e20, and a later
+    # forward pass overflows: the rollback must undo that update, the
+    # batch-norm stats of every epoch-2 forward and the moments
+    model.opt_state.learning_rate = 1e20
+    with pytest.raises(TrainingDivergedError):
+        train(model, corpus, epochs=1, out_dir=tmp_path)
+    assert state_bytes(model) == epoch_one
+    assert (model.step, model.trained_epochs, model.opt_state.step_count) == counters
+    saved = load_checkpoint(tmp_path / "model.ckpt")
+    assert state_bytes(saved) == epoch_one
+    assert (saved.step, saved.trained_epochs, saved.opt_state.step_count) == counters
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -420,6 +452,15 @@ def test_checkpoint_roundtrip_is_bitwise(corpus, tmp_path):
             == model.opt_state.first_moment[name].tobytes()
     save_checkpoint(back, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_checkpoint_rejects_non_finite_tensor(tmp_path, value):
+    model = build_model(MINIATURE_CONFIG)
+    model.params["l6.bias"].data[3] = value
+    save_checkpoint(model, tmp_path / "x.ckpt")
+    with pytest.raises(ParseError, match=r"x\.ckpt: non-finite value in the tensor before byte"):
+        load_checkpoint(tmp_path / "x.ckpt")
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -472,6 +513,20 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # step-time harness
 # ---------------------------------------------------------------------------
+
+def test_step_time_warms_up_with_full_length_runs(monkeypatch):
+    steps = []
+    real_step = model_module._train_step
+
+    def counting_step(mdl, batch):
+        steps.append(mdl.config.mtl_order)
+        return real_step(mdl, batch)
+
+    monkeypatch.setattr(model_module, "_train_step", counting_step)
+    step_time_overhead(MINIATURE_CONFIG, num_steps=3, repeats=2)
+    # one untimed run, then `repeats` timed runs, of num_steps each, per system
+    assert steps == ([0] * 3 + [4] * 3) * 3
+
 
 def test_step_time_report_structure():
     report = step_time_overhead(MINIATURE_CONFIG, num_steps=2, repeats=1)
