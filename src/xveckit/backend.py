@@ -11,9 +11,10 @@ within-class scatter and taking the symmetric eigendecomposition
 (numpy.linalg.eigh, LAPACK); rows of the projection are sign-normalized
 so the largest-magnitude entry is positive.
 
-Backends persist in the same binary framing as model checkpoints under
-the magic "XVBK", with the key=value metadata blob that binio writes and
-parses; embedding archives under "XVEB". Trial files are text lines
+Backends are tensor containers under the magic "XVBK", the framing of
+model checkpoints, owned by binio.write_container/read_container.
+Embedding archives ("XVEB") are framed here and check their magic and
+version through binio.Reader.header. Trial files are text lines
 "enroll_id test_id target|nontarget"; score files are
 "enroll_id test_id score" with six decimal places.
 """
@@ -27,13 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .errors import (
-    BadMagicError,
-    ConfigurationError,
-    DataError,
-    DimMismatchError,
-    ParseError,
-)
+from .errors import ConfigurationError, DataError, DimMismatchError, ParseError
 
 __all__ = [
     "Preprocessor",
@@ -450,27 +445,14 @@ def save_backend(path: Path | str, preprocessor: Preprocessor,
                  plda: PldaModel | None = None, length_norm: bool = True) -> None:
     meta = {"emb_dim": preprocessor.mean.shape[0], "lda_dim": preprocessor.lda_dim,
             "length_norm": int(length_norm), "has_plda": int(plda is not None)}
-    with binio.atomic_write(path) as fh:
-        fh.write(BACKEND_MAGIC)
-        binio.write_u32(fh, BACKEND_VERSION)
-        binio.write_meta(fh, meta)
-        arrays = [preprocessor.mean, preprocessor.projection]
-        if plda is not None:
-            arrays += [plda.mean, plda.between, plda.within]
-        binio.write_u32(fh, len(arrays))
-        for arr in arrays:
-            binio.write_array(fh, arr)
+    arrays = [preprocessor.mean, preprocessor.projection]
+    if plda is not None:
+        arrays += [plda.mean, plda.between, plda.within]
+    binio.write_container(path, BACKEND_MAGIC, BACKEND_VERSION, meta, arrays)
 
 
 def load_backend(path: Path | str) -> tuple[Preprocessor, PldaModel | None, bool]:
-    path = Path(path)
-    reader = binio.Reader(path.read_bytes(), str(path))
-    if reader.take(4) != BACKEND_MAGIC:
-        raise BadMagicError(f"{path}: not a backend file (bad magic)")
-    version = reader.u32()
-    if version != BACKEND_VERSION:
-        raise ParseError(f"{path}: unsupported backend version {version}")
-    meta = reader.meta()
+    meta, arrays = binio.read_container(path, BACKEND_MAGIC, BACKEND_VERSION, "a backend file")
     try:
         emb_dim = int(meta["emb_dim"])
         lda_dim = int(meta["lda_dim"])
@@ -478,19 +460,16 @@ def load_backend(path: Path | str) -> tuple[Preprocessor, PldaModel | None, bool
         has_plda = bool(int(meta["has_plda"]))
     except (KeyError, ValueError) as err:
         raise ParseError(f"{path}: bad backend metadata ({err})") from None
-    count = reader.u32()
     expected = 5 if has_plda else 2
-    if count != expected:
-        raise DimMismatchError(f"{path}: expected {expected} tensors, file has {count}")
-    arrays = [np.asarray(binio.read_array(reader), dtype=np.float64) for _ in range(count)]
-    reader.expect_exhausted()
-    mean, projection = arrays[0], arrays[1]
+    if len(arrays) != expected:
+        raise DimMismatchError(f"{path}: expected {expected} tensors, file has {len(arrays)}")
+    mean, projection, *plda_arrays = [np.asarray(arr, dtype=np.float64) for arr in arrays]
     if mean.shape != (emb_dim,) or projection.shape != (lda_dim, emb_dim):
         raise DimMismatchError(f"{path}: tensor shapes disagree with metadata")
     pre = Preprocessor(mean=mean, projection=projection)
     plda = None
     if has_plda:
-        p_mean, between, within = arrays[2], arrays[3], arrays[4]
+        p_mean, between, within = plda_arrays
         if p_mean.shape != (lda_dim,) or between.shape != (lda_dim, lda_dim) \
                 or within.shape != (lda_dim, lda_dim):
             raise DimMismatchError(f"{path}: PLDA tensor shapes disagree with metadata")
@@ -521,11 +500,7 @@ def write_embeddings(path: Path | str, vectors: dict[str, np.ndarray],
 def read_embeddings(path: Path | str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     path = Path(path)
     reader = binio.Reader(path.read_bytes(), str(path))
-    if reader.take(4) != EMBEDDINGS_MAGIC:
-        raise BadMagicError(f"{path}: not an embedding archive (bad magic)")
-    version = reader.u32()
-    if version != EMBEDDINGS_VERSION:
-        raise ParseError(f"{path}: unsupported embedding archive version {version}")
+    reader.header(EMBEDDINGS_MAGIC, EMBEDDINGS_VERSION, "an embedding archive")
     count = reader.u32()
     dim = reader.u32()
     vectors: dict[str, np.ndarray] = {}

@@ -1,9 +1,13 @@
 """Little-endian binary framing shared by checkpoint-style files.
 
 Every tensor is stored as u32 rank, u32 dims, then float32 payload.
-Strings are a u32 byte length followed by utf-8 bytes. The metadata blob
-of checkpoints and backends is one such string holding key=value lines;
-write_meta and Reader.meta are its only writer and parser, and
+Strings are a u32 byte length followed by utf-8 bytes. Model checkpoints
+(XVCK) and backends (XVBK) are tensor containers: 4 magic bytes, u32
+format version, a metadata blob, u32 tensor count, the tensors, and
+nothing after them. write_container and read_container are the only
+writer and reader of that framing; the metadata blob is one string
+holding key=value lines, and Reader.meta is its only parser. Every
+versioned artifact checks its magic and version through Reader.header.
 Reader.text and open_text (text files) are the only places that decode
 utf-8. Non-utf-8 bytes and non-finite tensor values raise ParseError.
 
@@ -19,6 +23,8 @@ previous file or the complete new one, never a partial write.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import math
 import os
 import secrets
 import struct
@@ -26,10 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, TruncatedFileError
+from .errors import BadMagicError, ParseError, TruncatedFileError
 
-__all__ = ["Reader", "atomic_write", "format_field", "parse_field", "open_text", "write_u32",
-           "write_blob", "write_meta", "write_array", "read_array"]
+__all__ = ["Reader", "atomic_write", "format_field", "parse_field", "non_finite_fields",
+           "open_text", "write_u32", "write_blob", "write_array", "read_array",
+           "write_container", "read_container"]
 
 
 def _parse_bool(raw: str) -> bool:
@@ -61,6 +68,14 @@ def parse_field(annotation: str, raw: str):
     return _FIELD_CODECS[annotation][1](raw)
 
 
+def non_finite_fields(record) -> list[str]:
+    """One validation problem per float field of dataclass `record` that
+    holds nan or inf."""
+    return [f"{f.name} must be finite, got {getattr(record, f.name)}"
+            for f in dataclasses.fields(record)
+            if f.type == "float" and not math.isfinite(getattr(record, f.name))]
+
+
 @contextlib.contextmanager
 def open_text(path: Path | str, newline: str | None = None):
     """Open a utf-8 text file for reading; bytes that are not raise ParseError."""
@@ -85,6 +100,15 @@ class Reader:
         chunk = self.raw[self.off: self.off + n]
         self.off += n
         return chunk
+
+    def header(self, magic: bytes, version: int, what: str) -> None:
+        """Check the magic bytes and u32 format version of `what` (a noun
+        with its article, e.g. "a backend file")."""
+        if self.take(len(magic)) != magic:
+            raise BadMagicError(f"{self.path}: not {what} (bad magic)")
+        found = self.u32()
+        if found != version:
+            raise ParseError(f"{self.path}: unsupported version {found} of {what}")
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -140,10 +164,6 @@ def write_blob(fh, blob: bytes) -> None:
     fh.write(blob)
 
 
-def write_meta(fh, fields: dict[str, object]) -> None:
-    write_blob(fh, "\n".join(f"{key}={value}" for key, value in fields.items()).encode("utf-8"))
-
-
 def write_array(fh, arr: np.ndarray) -> None:
     write_u32(fh, arr.ndim)
     fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
@@ -160,3 +180,30 @@ def read_array(reader: Reader) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ParseError(f"{reader.path}: non-finite value in the tensor before byte {reader.off}")
     return arr
+
+
+def write_container(path: Path | str, magic: bytes, version: int,
+                    meta: dict[str, object], arrays: list[np.ndarray]) -> None:
+    """Atomically write a tensor container: magic, version, the metadata
+    blob of `meta` (key=value lines), tensor count, then the tensors."""
+    with atomic_write(path) as fh:
+        fh.write(magic)
+        write_u32(fh, version)
+        write_blob(fh, "\n".join(f"{key}={value}" for key, value in meta.items()).encode("utf-8"))
+        write_u32(fh, len(arrays))
+        for arr in arrays:
+            write_array(fh, arr)
+
+
+def read_container(path: Path | str, magic: bytes, version: int,
+                   what: str) -> tuple[dict[str, str], list[np.ndarray]]:
+    """The metadata and tensors of a container written by write_container;
+    a file that ends early or runs on past its last tensor raises
+    TruncatedFileError. Callers check the count and shapes they expect."""
+    path = Path(path)
+    reader = Reader(path.read_bytes(), str(path))
+    reader.header(magic, version, what)
+    meta = reader.meta()
+    arrays = [read_array(reader) for _ in range(reader.u32())]
+    reader.expect_exhausted()
+    return meta, arrays

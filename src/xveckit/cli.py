@@ -370,11 +370,10 @@ def _cmd_sweep(args) -> int:
                 systems.append((name, 0 if alpha == 0.0 else order, alpha))
 
     results: list[tuple[str, MetricsReport]] = []
-    for index, (name, order, alpha) in enumerate(systems):
+    for name, order, alpha in systems:
         log.info("system %s (order %d, task weight %g, seed %d)",
-                 name, order, alpha, config.seed + index)
-        sys_config = replace(config, mtl_order=order, task_weight=alpha,
-                             seed=config.seed + index)
+                 name, order, alpha, config.seed)
+        sys_config = replace(config, mtl_order=order, task_weight=alpha)
         results.append((name, _run_system(sys_config, manifest, out / name)))
 
     width = max(len("system"), *(len(name) for name, _ in results))

@@ -108,6 +108,7 @@ class CorpusSpec:
             problems.append(f"spread must be positive, got {self.spread}")
         if self.seed < 0:
             problems.append(f"seed must be non-negative, got {self.seed}")
+        problems += binio.non_finite_fields(self)
         if problems:
             raise ConfigurationError("; ".join(problems))
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import binio
 from .errors import ConfigurationError, DataError
 
 __all__ = ["DcfParams", "MetricsReport", "detection_metrics", "metrics_oracle"]
@@ -44,6 +45,7 @@ class DcfParams:
             problems.append(f"c_miss must be positive, got {self.c_miss}")
         if self.c_fa <= 0:
             problems.append(f"c_fa must be positive, got {self.c_fa}")
+        problems += binio.non_finite_fields(self)
         if problems:
             raise ConfigurationError("; ".join(problems))
 

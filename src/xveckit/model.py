@@ -18,11 +18,10 @@ The joint objective is task_weight * reconstruction_mse +
 (1 - task_weight) * cross_entropy, recorded as one weighted add.
 task_weight 0 with mtl_order 0 is the plain classification baseline.
 
-Checkpoints are little-endian binary: magic "XVCK", u32 format version,
-the key=value metadata blob that binio writes and parses (every
-ModelConfig field through binio's field codec, step counter, corpus
-seed, optimizer hyperparameters), then u32 tensor count and each tensor
-as u32 rank, u32 dims, float32 data. Tensors appear in declaration
+Checkpoints are tensor containers under the magic "XVCK", framed by
+binio.write_container and binio.read_container. The metadata holds every
+ModelConfig field through binio's field codec, the step counter, corpus
+seed and optimizer hyperparameters. Tensors appear in declaration
 order: trainable parameters, batch-norm running stats, then optimizer
 moments (_state_arrays); the rollback after a divergence copies and
 restores the same list. Models train in float32; save -> load is
@@ -62,7 +61,6 @@ from .autodiff import (
 )
 from .data import Batch, FeatureMatrix, Manifest, make_batches
 from .errors import (
-    BadMagicError,
     ConfigurationError,
     DataError,
     DimMismatchError,
@@ -169,6 +167,7 @@ class ModelConfig:
                 problems.append(f"crop_length {self.crop_length} < receptive field {rf}")
         if self.seed < 0:
             problems.append(f"seed must be non-negative, got {self.seed}")
+        problems += binio.non_finite_fields(self)
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -481,21 +480,9 @@ def extract_embedding(model: Model, utterance: FeatureMatrix | np.ndarray) -> Em
 
 
 def parameter_count(config: ModelConfig) -> int:
-    """Trainable parameters (weights, biases, batch-norm gamma/beta)."""
-    total = 0
-    in_ch = config.feature_dim
-    for width, k in zip(config.frame_widths, config.kernel_sizes):
-        total += width * in_ch * k + width      # conv weight + bias
-        total += 2 * width                      # gamma + beta
-        in_ch = width
-    seg = config.segment_width
-    total += seg * (2 * config.frame_widths[-1]) + seg + 2 * seg
-    total += seg * seg + seg + 2 * seg
-    total += config.num_speakers * seg + config.num_speakers
-    if config.mtl_order:
-        out_dim = config.mtl_order * config.feature_dim
-        total += out_dim * seg + out_dim
-    return total
+    """Trainable parameters (weights, biases, batch-norm gamma/beta) of the
+    model build_model makes from `config`."""
+    return sum(p.data.size for p in build_model(config).params.values())
 
 
 def parameter_overhead(config: ModelConfig) -> OverheadReport:
@@ -513,11 +500,13 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
     without, on one fixed random batch.
 
     Defaults to the miniature network sized up to batch 16 / crop 64 so
-    the measurement reflects arithmetic, not per-op dispatch. After one
-    untimed num_steps run of each system (a short warmup left the first
-    timed run up to 2x slower), the timed runs alternate between the two
-    systems, so that a change in machine speed falls on both; each
-    system's fastest run wins, which filters scheduling noise.
+    the measurement reflects arithmetic, not per-op dispatch. Both models
+    are built first, then their steps alternate one by one, so that a
+    change in machine speed falls on both systems alike: num_steps untimed
+    steps each (a short warmup left the first timed run up to 2x slower),
+    then `repeats` rounds of num_steps steps each, where every step is
+    timed on its own and summed per system. Each system's fastest round
+    wins, which filters scheduling noise.
     """
     from .stats import hos_vector
 
@@ -530,26 +519,28 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
                              config.feature_dim)).astype(np.float32)
     labels = rng.integers(0, config.num_speakers, size=config.batch_size)
     targets = hos_vector(batch, config.mtl_order).astype(np.float32)
-    systems = {"base": (replace(config, mtl_order=0, task_weight=0.0), Batch(batch, labels, None)),
-               "mtl": (config, Batch(batch, labels, targets))}
 
-    def timed_run(key: str, steps: int) -> float:
-        start = time.perf_counter()
-        cfg, fixed_batch = systems[key]
+    def system(cfg: ModelConfig, fixed_targets) -> tuple[Model, Batch]:
         mdl = build_model(cfg)
         mdl.opt_state = OptimizerState(mdl.params, cfg.learning_rate, cfg.beta1,
                                        cfg.beta2, cfg.adam_eps)
-        for _ in range(steps):
-            _train_step(mdl, fixed_batch)
-        return time.perf_counter() - start
+        return mdl, Batch(batch, labels, fixed_targets)
 
-    for key in systems:
-        timed_run(key, num_steps)  # warmup
-    times: dict[str, list[float]] = {key: [] for key in systems}
-    for _ in range(repeats):
-        for key in systems:
-            times[key].append(timed_run(key, num_steps))
-    best = {key: min(t) for key, t in times.items()}
+    systems = {"base": system(replace(config, mtl_order=0, task_weight=0.0), None),
+               "mtl": system(config, targets)}
+
+    def timed_round() -> dict[str, float]:
+        spent = dict.fromkeys(systems, 0.0)
+        for _ in range(num_steps):
+            for key, (mdl, fixed_batch) in systems.items():
+                start = time.perf_counter()
+                _train_step(mdl, fixed_batch)
+                spent[key] += time.perf_counter() - start
+        return spent
+
+    timed_round()  # warmup
+    rounds = [timed_round() for _ in range(repeats)]
+    best = {key: min(r[key] for r in rounds) for key in systems}
     return StepTimeReport(baseline_seconds=best["base"], mtl_seconds=best["mtl"],
                           overhead=(best["mtl"] - best["base"]) / best["base"])
 
@@ -583,26 +574,12 @@ def save_checkpoint(model: Model, path: Path | str) -> None:
         meta["opt_step_count"] = o.step_count
         meta.update({f"opt_{key}": repr(getattr(o, key)) for key in _OPT_FLOATS})
 
-    arrays = _state_arrays(model)
-    with binio.atomic_write(path) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        binio.write_u32(fh, CHECKPOINT_VERSION)
-        binio.write_meta(fh, meta)
-        binio.write_u32(fh, len(arrays))
-        for arr in arrays:
-            binio.write_array(fh, arr)
+    binio.write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, _state_arrays(model))
 
 
 def load_checkpoint(path: Path | str) -> Model:
-    path = Path(path)
-    reader = binio.Reader(path.read_bytes(), str(path))
-    if reader.take(4) != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{path}: not a model checkpoint (bad magic)")
-    version = reader.u32()
-    if version != CHECKPOINT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {version}")
-    meta = reader.meta()
-
+    meta, arrays = binio.read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                        "a model checkpoint")
     try:
         model = build_model(ModelConfig(**{f.name: binio.parse_field(f.type, meta[f.name])
                                            for f in dataclasses.fields(ModelConfig)}))
@@ -618,15 +595,12 @@ def load_checkpoint(path: Path | str) -> Model:
         raise ParseError(f"{path}: bad metadata value ({err})") from None
 
     targets = _state_arrays(model)
-    count = reader.u32()
-    if count != len(targets):
-        raise DimMismatchError(f"{path}: expected {len(targets)} tensors, file has {count}")
-    for dest in targets:
-        arr = binio.read_array(reader)
+    if len(arrays) != len(targets):
+        raise DimMismatchError(f"{path}: expected {len(targets)} tensors, file has {len(arrays)}")
+    for dest, arr in zip(targets, arrays):
         if arr.shape != dest.shape:
             raise DimMismatchError(f"{path}: tensor shaped {arr.shape} where {dest.shape} expected")
         dest[...] = arr
-    reader.expect_exhausted()
     return model
 
 
@@ -658,28 +632,29 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
     def check(name: str, fn, wrt) -> None:
         checks.append((name, grad_check(fn, wrt, tolerance=tolerance, step=step)))
 
+    def check_op(name: str, op, wrt: dict[str, Tensor], target: np.ndarray) -> None:
+        """Check the MSE of op(tape), reshaped to target's shape, against target."""
+        tgt = Tensor(target)
+
+        def fn():
+            tape = Tape()
+            return mse_loss(reshape(op(tape), tgt.shape, tape), tgt, tape), tape
+
+        check(name, fn, wrt)
+
+    # Each check's inputs and target are drawn in one fixed order, which
+    # pins the printed errors; draw new inputs after the existing ones.
     # conv: T=9, k=3, dilation=2 -> 5 output frames
     x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
     w = Tensor(0.5 * rng.normal(size=(4, 3, 3)), requires_grad=True)
     b = Tensor(0.1 * rng.normal(size=4), requires_grad=True)
-    tgt = Tensor(rng.normal(size=(1, 20)))
-
-    def fn_conv():
-        tape = Tape()
-        y = conv1d_dilated(x, w, b, dilation=2, tape=tape)
-        return mse_loss(reshape(y, (1, 20), tape), tgt, tape), tape
-
-    check("conv1d_dilated", fn_conv, {"input": x, "weight": w, "bias": b})
+    check_op("conv1d_dilated", lambda tape: conv1d_dilated(x, w, b, 2, tape),
+             {"input": x, "weight": w, "bias": b}, rng.normal(size=(1, 20)))
 
     xb = Tensor(rng.normal(size=(2, 9, 3)), requires_grad=True)
-    tgt_b = Tensor(rng.normal(size=(2, 20)))
-
-    def fn_conv_batched():
-        tape = Tape()
-        y = conv1d_dilated(xb, w, b, dilation=2, tape=tape)
-        return mse_loss(reshape(y, (2, 20), tape), tgt_b, tape), tape
-
-    check("conv1d_dilated.batched", fn_conv_batched, {"input": xb, "weight": w, "bias": b})
+    tgt_b = rng.normal(size=(2, 20))
+    check_op("conv1d_dilated.batched", lambda tape: conv1d_dilated(xb, w, b, 2, tape),
+             {"input": xb, "weight": w, "bias": b}, tgt_b)
 
     # conv with its built-in relu, batched; inputs are redrawn until every
     # pre-activation sits 0.02 or more from the kink, so no finite
@@ -689,71 +664,37 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
         pre = conv1d_dilated(xc, w, b, dilation=2).data
         if np.abs(pre).min() > 0.02 and (pre < 0).any():
             break
-
-    def fn_conv_relu():
-        tape = Tape()
-        y = conv1d_dilated(xc, w, b, dilation=2, tape=tape, activation="relu")
-        return mse_loss(reshape(y, (2, 20), tape), tgt_b, tape), tape
-
-    check("conv1d_dilated.relu", fn_conv_relu, {"input": xc, "weight": w, "bias": b})
+    check_op("conv1d_dilated.relu",
+             lambda tape: conv1d_dilated(xc, w, b, 2, tape, activation="relu"),
+             {"input": xc, "weight": w, "bias": b}, tgt_b)
 
     # dense, both activations
     xd = Tensor(_away_from_zero(rng, (4, 5)), requires_grad=True)
     wd = Tensor(_away_from_zero(rng, (3, 5)), requires_grad=True)
     bd = Tensor(0.1 * rng.normal(size=3), requires_grad=True)
-    tgt_d = Tensor(rng.normal(size=(4, 3)))
+    tgt_d = rng.normal(size=(4, 3))
     for activation in ("none", "relu"):
-        def fn_dense(act=activation):
-            tape = Tape()
-            y = dense(xd, wd, bd, act, tape)
-            return mse_loss(y, tgt_d, tape), tape
-        check(f"dense.{activation}", fn_dense, {"input": xd, "weight": wd, "bias": bd})
+        check_op(f"dense.{activation}", lambda tape: dense(xd, wd, bd, activation, tape),
+                 {"input": xd, "weight": wd, "bias": bd}, tgt_d)
 
-    # relu
     xr = Tensor(_away_from_zero(rng, (3, 4)), requires_grad=True)
-    tgt_r = Tensor(rng.normal(size=(3, 4)))
+    check_op("relu", lambda tape: relu(xr, tape), {"input": xr}, rng.normal(size=(3, 4)))
 
-    def fn_relu():
-        tape = Tape()
-        return mse_loss(relu(xr, tape), tgt_r, tape), tape
-
-    check("relu", fn_relu, {"input": xr})
-
-    # batchnorm, train mode
+    # batchnorm, train mode, on [N, F] and over the N * T rows of [N, T, F]
     xn = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     gn = Tensor(1.0 + 0.1 * rng.normal(size=4), requires_grad=True)
     bn = Tensor(0.1 * rng.normal(size=4), requires_grad=True)
     bn_state = BatchNormState.create(4, dtype=np.float64)
-    tgt_n = Tensor(rng.normal(size=(6, 4)))
-
-    def fn_bn():
-        tape = Tape()
-        y = batchnorm1d(xn, gn, bn, "train", bn_state, tape)
-        return mse_loss(y, tgt_n, tape), tape
-
-    check("batchnorm1d.train", fn_bn, {"input": xn, "gamma": gn, "beta": bn})
-
-    # batchnorm, train mode, over the N * T rows of an [N, T, F] input
+    check_op("batchnorm1d.train", lambda tape: batchnorm1d(xn, gn, bn, "train", bn_state, tape),
+             {"input": xn, "gamma": gn, "beta": bn}, rng.normal(size=(6, 4)))
     xn3 = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
-    tgt_n3 = Tensor(rng.normal(size=(3, 16)))
+    check_op("batchnorm1d.train.3d",
+             lambda tape: batchnorm1d(xn3, gn, bn, "train", bn_state, tape),
+             {"input": xn3, "gamma": gn, "beta": bn}, rng.normal(size=(3, 16)))
 
-    def fn_bn3():
-        tape = Tape()
-        y = batchnorm1d(xn3, gn, bn, "train", bn_state, tape)
-        return mse_loss(reshape(y, (3, 16), tape), tgt_n3, tape), tape
-
-    check("batchnorm1d.train.3d", fn_bn3, {"input": xn3, "gamma": gn, "beta": bn})
-
-    # stats pooling
     xp = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
-    tgt_p = Tensor(rng.normal(size=(1, 10)))
-
-    def fn_pool():
-        tape = Tape()
-        y = stats_pool(xp, tape)
-        return mse_loss(reshape(y, (1, 10), tape), tgt_p, tape), tape
-
-    check("stats_pool", fn_pool, {"frames": xp})
+    check_op("stats_pool", lambda tape: stats_pool(xp, tape), {"frames": xp},
+             rng.normal(size=(1, 10)))
 
     # cross entropy straight off a leaf
     xl = Tensor(rng.normal(size=(5, 4)), requires_grad=True)

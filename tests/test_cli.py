@@ -1,6 +1,7 @@
 """Command-line surface: config files, subcommands, and the sweep driver."""
 
 import dataclasses
+import math
 import shutil
 
 import numpy as np
@@ -83,6 +84,32 @@ def test_projected_fields_exist_in_run_config(cls):
     run_fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for f in dataclasses.fields(cls):
         assert run_fields.get(f.name) == f.type, f.name
+
+
+FLOAT_FIELDS = [(cls, f.name) for cls in (CorpusSpec, ModelConfig, DcfParams)
+                for f in dataclasses.fields(cls) if f.type == "float"]
+REQUIRED = {ModelConfig: {"feature_dim": 4, "num_speakers": 3}}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_float_fields_must_be_finite(cls, name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite, got {value}"):
+        record = cls(**REQUIRED.get(cls, {}), **{name: value})  # DcfParams checks here
+        record.validate()
+
+
+def test_vad_offset_may_be_infinite():
+    assert parse_config("vad_offset = inf\n").vad_offset == math.inf
+
+
+def test_gen_data_rejects_nan_spread(tmp_path, caplog):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("spread = nan\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 1
+    assert "spread must be finite, got nan" in caplog.text
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_config_skips_comments_and_blanks():
@@ -236,6 +263,20 @@ def test_sweep_names_rows_and_dedups(workspace, tmp_path):
     for line in lines[1:]:
         for field in line.split(",")[1:]:
             assert np.isfinite(float(field))
+
+
+def test_swept_system_does_not_depend_on_its_neighbours(workspace, tmp_path):
+    # every system trains from the base seed, so MT-o4-a3 swept beside the
+    # baseline holds the same bytes as MT-o4-a3 swept alone
+    root, cfg = workspace
+    for alphas in ("0.3", "0,0.3"):
+        assert main(["sweep", "--config", str(cfg), "--data", str(root / "corpus"),
+                     "--alphas", alphas, "--orders", "4", "--out", str(tmp_path / alphas)]) == 0
+    alone, beside = tmp_path / "0.3" / "MT-o4-a3", tmp_path / "0,0.3" / "MT-o4-a3"
+    names = sorted(p.name for p in alone.iterdir())
+    assert names == sorted(p.name for p in beside.iterdir())
+    for name in names:
+        assert (alone / name).read_bytes() == (beside / name).read_bytes(), name
 
 
 def test_sweep_rejects_empty_grid(workspace, tmp_path):

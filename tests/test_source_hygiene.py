@@ -1,0 +1,63 @@
+"""Source hygiene of src/xveckit: no dead imports, no unreferenced private
+helpers. Deleting code tends to leave both behind; this reads every
+module with ast, so it runs nothing of the package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "xveckit"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(SRC.glob("*.py"))}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Every bare name read or written, and every attribute name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_module_is_read():
+    assert {"__init__.py", "binio.py", "model.py", "cli.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_unused_imports(module):
+    tree = MODULES[module]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(_imported(tree) - used - _exported(tree)) == []
+
+
+def test_private_helpers_are_referenced():
+    referenced = set().union(*(_referenced(tree) for tree in MODULES.values()))
+    unreferenced = [f"{module}: {node.name}" for module, tree in MODULES.items()
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and node.name not in referenced]
+    assert unreferenced == []
