@@ -2,12 +2,13 @@
 
 The engine is deliberately small: a Tensor wrapping an ndarray, a Tape
 recording executed primitives in order, and exactly the operations the
-embedding network needs: dilated 1-d convolution and dense layers, both
-with an optional built-in relu; batch normalization over [N, F] or
-[N, T, F]; the two losses; and a handful of glue ops. Statistics pooling
-lives in stats.py. Backward runs the tape once in reverse; every op's
-backward closure accumulates into the gradients of its inputs, and the
-first write to a gradient stores a copy, never the caller's array.
+embedding network needs: dilated 1-d convolution over [N, T, C] frames
+and dense layers, both with an optional built-in relu; batch
+normalization over [N, F] or [N, T, F]; the two losses; and a handful of
+glue ops. Statistics pooling lives in stats.py. Backward runs the tape
+once in reverse; every op's backward closure accumulates into the
+gradients of its inputs, and the first write to a gradient stores a
+copy, never the caller's array.
 
 Ops are pure functions of their explicit inputs plus the tape. Passing
 tape=None runs forward only, which is the inference path.
@@ -42,6 +43,8 @@ __all__ = [
     "reshape",
     "add",
     "scale",
+    "BN_MOMENTUM",
+    "BN_EPS",
     "BatchNormState",
     "batchnorm1d",
     "softmax_cross_entropy",
@@ -161,11 +164,11 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
     """Valid cross-correlation along time with a dilated kernel, with an
     optional built-in relu.
 
-    inp is [T, C_in] or batched [N, T, C_in]; weight is [C_out, C_in, k];
-    bias is [C_out]. No padding: the output keeps T - (k-1)*dilation
-    frames. Kernel taps are applied in index order (no flip). The relu
-    runs in place on the matmul output, and its backward masks the
-    incoming gradient by the positive outputs.
+    inp is [N, T, C_in]; weight is [C_out, C_in, k]; bias is [C_out]. No
+    padding: the output keeps T - (k-1)*dilation frames. Kernel taps are
+    applied in index order (no flip). The relu runs in place on the matmul
+    output, and its backward masks the incoming gradient by the positive
+    outputs.
     """
     if not isinstance(dilation, int) or dilation < 1:
         raise ConfigurationError(f"dilation must be a positive integer, got {dilation!r}")
@@ -173,10 +176,9 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
         raise ConfigurationError(f"unknown activation {activation!r}")
     if weight.data.ndim != 3:
         raise ConfigurationError(f"conv weight must be [C_out, C_in, k], got shape {weight.data.shape}")
-    batched = inp.data.ndim == 3
-    if not batched and inp.data.ndim != 2:
-        raise ConfigurationError(f"conv input must be 2-d or 3-d, got shape {inp.data.shape}")
-    x = inp.data if batched else inp.data[None]
+    if inp.data.ndim != 3:
+        raise ConfigurationError(f"conv input must be [N, T, C_in], got shape {inp.data.shape}")
+    x = inp.data
     n, t, c_in = x.shape
     c_out, w_cin, k = weight.data.shape
     if w_cin != c_in:
@@ -200,7 +202,7 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
     y += bias.data
     if activation == "relu":
         np.maximum(y, 0, out=y)
-    out = Tensor(y.reshape(n, t_out, c_out) if batched else y)
+    out = Tensor(y.reshape(n, t_out, c_out))
 
     if tape is not None:
         def bwd(g: np.ndarray) -> None:
@@ -219,7 +221,7 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
                     gx = np.zeros_like(x)
                     for j in range(k):
                         gx[:, j * dilation: j * dilation + t_out, :] += g_cols[:, :, j, :]
-                _accumulate(inp, gx if batched else gx[0], fresh=True)
+                _accumulate(inp, gx, fresh=True)
         tape.record(out, bwd)
     return out
 
@@ -302,21 +304,23 @@ def scale(inp: Tensor, factor: float, tape: Tape | None = None) -> Tensor:
     return out
 
 
+# Weight of the old running statistics in a train-mode update, and the
+# variance floor under the square root; checkpoints do not store them.
+BN_MOMENTUM = 0.95
+BN_EPS = 1e-5
+
+
 @dataclass
 class BatchNormState:
     """Running mean/variance used by inference-mode normalization."""
 
     mean: np.ndarray
     var: np.ndarray
-    momentum: float = 0.95
-    eps: float = 1e-5
 
     @classmethod
-    def create(cls, num_features: int, momentum: float = 0.95, eps: float = 1e-5,
-               dtype=np.float32) -> "BatchNormState":
+    def create(cls, num_features: int, dtype=np.float32) -> "BatchNormState":
         return cls(mean=np.zeros(num_features, dtype=dtype),
-                   var=np.ones(num_features, dtype=dtype),
-                   momentum=momentum, eps=eps)
+                   var=np.ones(num_features, dtype=dtype))
 
 
 def batchnorm1d(inp: Tensor, gamma: Tensor, beta: Tensor, mode: str,
@@ -350,13 +354,13 @@ def batchnorm1d(inp: Tensor, gamma: Tensor, beta: Tensor, mode: str,
         mu = x.mean(axis=0)
         xc = x - mu
         var = np.einsum("ij,ij->j", xc, xc) / rows
-        m = running.momentum
+        m = BN_MOMENTUM
         running.mean = m * running.mean + (1.0 - m) * mu
         running.var = m * running.var + (1.0 - m) * var
     else:
         mu, var = running.mean, running.var
         xc = x - mu
-    inv = 1.0 / np.sqrt(var + running.eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     y = xc * (gamma.data * inv)
     y += beta.data
     out = Tensor(y.reshape(inp.data.shape))

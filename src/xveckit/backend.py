@@ -307,13 +307,10 @@ class ScoreSet:
     def __len__(self) -> int:
         return len(self.trials)
 
-    def target_scores(self) -> np.ndarray:
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(target scores, nontarget scores), each in trial order."""
         mask = np.array([t.target for t in self.trials], dtype=bool)
-        return self.scores[mask]
-
-    def nontarget_scores(self) -> np.ndarray:
-        mask = np.array([not t.target for t in self.trials], dtype=bool)
-        return self.scores[mask]
+        return self.scores[mask], self.scores[~mask]
 
 
 class _PldaScorer:

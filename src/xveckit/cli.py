@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -97,8 +98,15 @@ class RunConfig:
             problems.append(f"lda_dim must be >= 1, got {self.lda_dim}")
         if self.plda_iterations < 1:
             problems.append(f"plda_iterations must be >= 1, got {self.plda_iterations}")
+        if self.vad_offset is not None and math.isnan(self.vad_offset):
+            problems.append("vad_offset must not be nan")
+        for cls in (CorpusSpec, ModelConfig, DcfParams):
+            try:
+                _project(self, cls).validate()
+            except ConfigurationError as err:
+                problems += str(err).split("; ")
         if problems:
-            raise ConfigurationError("; ".join(problems))
+            raise ConfigurationError("; ".join(dict.fromkeys(problems)))
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -108,8 +116,9 @@ _FLAG_FIELDS = {"seed": "seed", "lda_dim": "lda_dim", "alpha": "task_weight",
                 "order": "mtl_order", "scorer": "scorer"}
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse key = value lines; blank lines and '#' comments allowed."""
+def parse_config(text: str, **overrides) -> RunConfig:
+    """Parse key = value lines (blank lines and '#' comments allowed), apply
+    `overrides`, and validate; mtl_order 0 (no head) sets task_weight 0."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -125,7 +134,9 @@ def parse_config(text: str) -> RunConfig:
             values[key] = binio.parse_field(_FIELDS[key].type, raw)
         except ValueError as err:
             raise ConfigurationError(f"config line {lineno}: bad value for {key}: {err}") from None
-    config = RunConfig(**values)
+    config = RunConfig(**{**values, **overrides})
+    if config.mtl_order == 0:
+        config = replace(config, task_weight=0.0)
     config.validate()
     return config
 
@@ -137,17 +148,12 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def _load_config(args) -> RunConfig:
+    text = ""
     if getattr(args, "config", None):
         with binio.open_text(args.config) as fh:
-            config = parse_config(fh.read())
-    else:
-        config = RunConfig()
-    overrides = {key: getattr(args, flag) for flag, key in _FLAG_FIELDS.items()
-                 if getattr(args, flag, None) is not None}
-    config = replace(config, **overrides)
-    if config.mtl_order == 0:
-        config = replace(config, task_weight=0.0)
-    config.validate()
+            text = fh.read()
+    config = parse_config(text, **{key: getattr(args, flag) for flag, key in _FLAG_FIELDS.items()
+                                   if getattr(args, flag, None) is not None})
     for line in serialize_config(config).splitlines():
         log.info("config: %s", line)
     return config
@@ -300,10 +306,8 @@ def _cmd_evaluate(args) -> int:
         if key not in scores:
             raise DataError(f"trial {i} ({key[0]} {key[1]}) has no score in {args.scores}")
         values.append(scores[key])
-    values = np.array(values)
-    target_mask = np.array([t.target for t in trials], dtype=bool)
-    report = detection_metrics(values[target_mask], values[~target_mask],
-                               _project(config, DcfParams))
+    score_set = bk.ScoreSet(trials, np.array(values))
+    report = detection_metrics(*score_set.split(), _project(config, DcfParams))
     print(report.format_table())
     if args.out:
         _write_text(args.out, report.to_csv())
@@ -340,21 +344,29 @@ def _run_system(config: RunConfig, manifest: Manifest, out: Path) -> MetricsRepo
         backend = out / "backend.xvbk"
         _fit_backend(config, *_extract_all(model, train_part, config), backend)
     score_set = _score(config, trials, held_vecs, backend, out / "scores.txt")
-    report = detection_metrics(score_set, params=_project(config, DcfParams))
+    report = detection_metrics(*score_set.split(), _project(config, DcfParams))
     _write_text(out / "metrics.csv", report.to_csv())
     return report
 
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         alphas = [float(a) for a in args.alphas.split(",")]
         orders = [int(o) for o in args.orders.split(",")]
     except ValueError as err:
         raise UsageError(f"bad sweep grid: {err}") from None
+    # every system's config is checked before anything is written
+    systems: dict[str, RunConfig] = {}
+    for order in orders:
+        for alpha in alphas:
+            sys_config = replace(config, mtl_order=0 if alpha == 0.0 else order,
+                                 task_weight=alpha)
+            sys_config.validate()
+            systems.setdefault(system_name(order, alpha), sys_config)
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.data:
         manifest = Manifest.load(Path(args.data) / "manifest.csv")
     else:
@@ -362,18 +374,10 @@ def _cmd_sweep(args) -> int:
         log.info("no --data given; generating corpus into %s", corpus_dir)
         manifest = generate_corpus(_project(config, CorpusSpec), corpus_dir)
 
-    systems: list[tuple[str, int, float]] = []
-    for order in orders:
-        for alpha in alphas:
-            name = system_name(order, alpha)
-            if name not in [s[0] for s in systems]:
-                systems.append((name, 0 if alpha == 0.0 else order, alpha))
-
     results: list[tuple[str, MetricsReport]] = []
-    for name, order, alpha in systems:
-        log.info("system %s (order %d, task weight %g, seed %d)",
-                 name, order, alpha, config.seed)
-        sys_config = replace(config, mtl_order=order, task_weight=alpha)
+    for name, sys_config in systems.items():
+        log.info("system %s (order %d, task weight %g, seed %d)", name,
+                 sys_config.mtl_order, sys_config.task_weight, config.seed)
         results.append((name, _run_system(sys_config, manifest, out / name)))
 
     width = max(len("system"), *(len(name) for name, _ in results))

@@ -38,6 +38,9 @@ class DcfParams:
     c_fa: float = 1.0
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         problems = []
         if not 0.0 < self.p_target < 1.0:
             problems.append(f"p_target must lie in (0, 1), got {self.p_target}")
@@ -85,10 +88,6 @@ class MetricsReport:
 
 
 def _validated(target_scores, nontarget_scores) -> tuple[np.ndarray, np.ndarray]:
-    if nontarget_scores is None:
-        score_set = target_scores
-        target_scores = score_set.target_scores()
-        nontarget_scores = score_set.nontarget_scores()
     t = np.sort(np.asarray(target_scores, dtype=np.float64).ravel())
     nt = np.sort(np.asarray(nontarget_scores, dtype=np.float64).ravel())
     if t.size == 0:
@@ -125,13 +124,9 @@ def _interpolate_eer(p_miss: np.ndarray, p_fa: np.ndarray,
     return eer, thr
 
 
-def detection_metrics(target_scores, nontarget_scores=None,
+def detection_metrics(target_scores, nontarget_scores,
                       params: DcfParams = DcfParams()) -> MetricsReport:
-    """Compute EER / minDCF / actDCF.
-
-    Accepts two arrays (target scores, nontarget scores) or a single
-    object exposing target_scores() / nontarget_scores().
-    """
+    """Compute EER / minDCF / actDCF from target and nontarget scores."""
     t, nt = _validated(target_scores, nontarget_scores)
     thresholds = np.concatenate([np.unique(np.concatenate([t, nt])), [np.inf]])
     p_miss = np.searchsorted(t, thresholds, side="left") / t.size
@@ -148,7 +143,7 @@ def detection_metrics(target_scores, nontarget_scores=None,
                          num_target=int(t.size), num_nontarget=int(nt.size))
 
 
-def metrics_oracle(target_scores, nontarget_scores=None,
+def metrics_oracle(target_scores, nontarget_scores,
                    params: DcfParams = DcfParams()) -> MetricsReport:
     """Quadratic-cost reference implementation of detection_metrics."""
     t, nt = _validated(target_scores, nontarget_scores)

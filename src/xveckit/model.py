@@ -11,8 +11,7 @@ batch norm, so it is untouched by anything downstream of that layer.
 
 Each frame layer is two tape ops: a convolution with its relu built in,
 and a batch norm over the [N, T, F] output's N * T frames. Training and
-extraction run the same frame stack (_frame_stack), in train and infer
-mode respectively.
+extraction (a batch of one) run the same checked frame stack and pooling.
 
 The joint objective is task_weight * reconstruction_mse +
 (1 - task_weight) * cross_entropy, recorded as one weighted add.
@@ -68,7 +67,7 @@ from .errors import (
     ParseError,
     TrainingDivergedError,
 )
-from .stats import stats_pool
+from .stats import hos_vector, stats_pool
 
 __all__ = [
     "ModelConfig",
@@ -281,17 +280,28 @@ def build_model(config: ModelConfig, dtype=np.float32) -> Model:
     return Model(config=config, params=params, bn_states=bn_states, dtype=dtype)
 
 
-def _frame_stack(model: Model, x: Tensor, mode: str, tape: Tape | None = None) -> Tensor:
-    """Layers l1..l5 on [N, T, D] frames: conv with a built-in relu, then
-    batch norm over all N * T frames; two tape entries per layer."""
+def _pooled(model: Model, x, mode: str, tape: Tape | None = None,
+            what: str = "input") -> Tensor:
+    """Check an [N, L, D] input (named `what` in errors) against the model,
+    then run layers l1..l5, each a conv with a built-in relu and a batch
+    norm over all N * T frames (two tape entries), and statistics pooling."""
+    cfg = model.config
+    h = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=model.dtype))
+    if h.ndim != 3:
+        raise ConfigurationError(f"{what} must be [N, L, D], got shape {h.shape}")
+    length, d = h.shape[1], h.shape[2]
+    if d != cfg.feature_dim:
+        raise ConfigurationError(f"{what} feature dim {d} != model feature dim {cfg.feature_dim}")
+    rf = receptive_field(cfg)
+    if length < rf:
+        raise InputTooShortError(f"{what} of {length} frames shorter than receptive field {rf}")
     p = model.params
-    h = x
-    for i, dilation in enumerate(model.config.dilations, start=1):
+    for i, dilation in enumerate(cfg.dilations, start=1):
         name = f"l{i}"
         h = conv1d_dilated(h, p[f"{name}.weight"], p[f"{name}.bias"], dilation, tape,
                            activation="relu")
         h = batchnorm1d(h, p[f"{name}.gamma"], p[f"{name}.beta"], mode, model.bn_states[name], tape)
-    return h
+    return stats_pool(h, tape)
 
 
 def forward(model: Model, batch, mode: str = "train", tape: Tape | None = None) -> ForwardResult:
@@ -301,26 +311,14 @@ def forward(model: Model, batch, mode: str = "train", tape: Tape | None = None) 
     the reconstructed statistics vector. Frame-level batch norm is
     applied across all N * T frames of the batch.
     """
-    cfg = model.config
-    x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch, dtype=model.dtype))
-    if x.ndim != 3:
-        raise ConfigurationError(f"batch must be [N, L, D], got shape {x.shape}")
-    length, d = x.shape[1], x.shape[2]
-    if d != cfg.feature_dim:
-        raise ConfigurationError(f"batch feature dim {d} != model feature dim {cfg.feature_dim}")
-    rf = receptive_field(cfg)
-    if length < rf:
-        raise InputTooShortError(f"input of {length} frames shorter than receptive field {rf}")
-
     p = model.params
-    pooled = stats_pool(_frame_stack(model, x, mode, tape), tape)
-    h6 = dense(pooled, p["l6.weight"], p["l6.bias"], "relu", tape)
+    h6 = dense(_pooled(model, batch, mode, tape), p["l6.weight"], p["l6.bias"], "relu", tape)
     h6 = batchnorm1d(h6, p["l6.gamma"], p["l6.beta"], mode, model.bn_states["l6"], tape)
     h7 = dense(h6, p["l7.weight"], p["l7.bias"], "relu", tape)
     h7 = batchnorm1d(h7, p["l7.gamma"], p["l7.beta"], mode, model.bn_states["l7"], tape)
     logits = dense(h7, p["softmax.weight"], p["softmax.bias"], "none", tape)
     recon = None
-    if cfg.mtl_order:
+    if model.config.mtl_order:
         recon = dense(h7, p["mtl.weight"], p["mtl.bias"], "none", tape)
     return ForwardResult(logits=logits, reconstruction=recon)
 
@@ -456,27 +454,14 @@ def train(model: Model, manifest: Manifest, epochs: int | None = None,
     return epoch_stats
 
 
-def extract_embedding(model: Model, utterance: FeatureMatrix | np.ndarray) -> Embedding:
-    """Embed one full utterance: inference-mode frame layers, pooling,
-    then the affine output of the first segment layer."""
-    if isinstance(utterance, FeatureMatrix):
-        utt_id, frames = utterance.utt_id, utterance.frames
-    else:
-        utt_id, frames = "", np.asarray(utterance)
-    cfg = model.config
-    frames = np.asarray(frames, dtype=model.dtype)
-    if frames.ndim != 2 or frames.shape[1] != cfg.feature_dim:
-        raise ConfigurationError(
-            f"utterance must be [T, {cfg.feature_dim}], got shape {frames.shape}")
-    rf = receptive_field(cfg)
-    if frames.shape[0] < rf:
-        raise InputTooShortError(
-            f"utterance '{utt_id}' has {frames.shape[0]} frames, needs >= {rf}")
-
-    pooled = stats_pool(_frame_stack(model, Tensor(frames[None]), "infer"))
+def extract_embedding(model: Model, utterance: FeatureMatrix) -> Embedding:
+    """Embed one full utterance: infer-mode frame stack and pooling on it as
+    a batch of one, then the affine output of the first segment layer."""
+    pooled = _pooled(model, utterance.frames[None], "infer",
+                     what=f"utterance '{utterance.utt_id}'")
     p = model.params
-    vec = pooled.data @ p["l6.weight"].data.T + p["l6.bias"].data
-    return Embedding(utt_id=utt_id, vector=vec[0].copy())
+    return Embedding(utt_id=utterance.utt_id,
+                     vector=dense(pooled, p["l6.weight"], p["l6.bias"]).data[0])
 
 
 def parameter_count(config: ModelConfig) -> int:
@@ -508,8 +493,6 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
     timed on its own and summed per system. Each system's fastest round
     wins, which filters scheduling noise.
     """
-    from .stats import hos_vector
-
     if config is None:
         config = replace(MINIATURE_CONFIG, batch_size=16, crop_length=64)
     if config.mtl_order == 0:
@@ -645,7 +628,7 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
     # Each check's inputs and target are drawn in one fixed order, which
     # pins the printed errors; draw new inputs after the existing ones.
     # conv: T=9, k=3, dilation=2 -> 5 output frames
-    x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 9, 3)), requires_grad=True)
     w = Tensor(0.5 * rng.normal(size=(4, 3, 3)), requires_grad=True)
     b = Tensor(0.1 * rng.normal(size=4), requires_grad=True)
     check_op("conv1d_dilated", lambda tape: conv1d_dilated(x, w, b, 2, tape),
@@ -692,7 +675,7 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
              lambda tape: batchnorm1d(xn3, gn, bn, "train", bn_state, tape),
              {"input": xn3, "gamma": gn, "beta": bn}, rng.normal(size=(3, 16)))
 
-    xp = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+    xp = Tensor(rng.normal(size=(1, 7, 5)), requires_grad=True)
     check_op("stats_pool", lambda tape: stats_pool(xp, tape), {"frames": xp},
              rng.normal(size=(1, 10)))
 
@@ -730,8 +713,6 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
     check("reshape+scale+add", fn_glue, {"input": xg})
 
     # full miniature network at three task weights
-    from .stats import hos_vector  # local import avoids a cycle at module load
-
     net_rng = np.random.default_rng(99)
     mini_batch = np.asarray(net_rng.normal(size=(4, 20, 6)), dtype=np.float64)
     mini_labels = np.array([0, 2, 4, 1])

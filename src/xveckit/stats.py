@@ -3,7 +3,8 @@
 moments() is the two-pass reference used everywhere targets are needed,
 on one utterance or on a batch of equal-length crops at once.
 stats_pool() is the differentiable mean+stddev pooling layer of the
-network and records on the autodiff tape.
+network: it takes the [N, T, F] frame-layer output and records on the
+autodiff tape.
 
 Conventions: population (1/T) normalization throughout, no Bessel
 correction; skewness and kurtosis are standardized moments of order 3
@@ -89,32 +90,27 @@ def hos_vector(frames, order: int = 4) -> np.ndarray:
 
 
 def stats_pool(frames: Tensor, tape: Tape | None = None) -> Tensor:
-    """Pool frame activations to [mean, stddev] per channel.
-
-    Accepts [T', F] or batched [N, T', F] and returns [2F] or [N, 2F].
-    The stddev is sqrt(population variance + POOL_EPS).
+    """Pool [N, T', F] frame activations to [N, 2F]: mean, then stddev,
+    per channel. The stddev is sqrt(population variance + POOL_EPS).
     """
-    batched = frames.data.ndim == 3
-    if not batched and frames.data.ndim != 2:
-        raise ConfigurationError(f"stats_pool input must be 2-d or 3-d, got shape {frames.data.shape}")
-    x = frames.data if batched else frames.data[None]
-    n, t, f = x.shape
+    x = frames.data
+    if x.ndim != 3:
+        raise ConfigurationError(f"stats_pool input must be [N, T, F], got shape {x.shape}")
+    _, t, f = x.shape
     if t < 2:
         raise PoolingError(f"stats_pool needs at least 2 frames, got {t}")
     mu = x.mean(axis=1)
     centered = x - mu[:, None, :]
     var = (centered * centered).mean(axis=1)
     std = np.sqrt(var + POOL_EPS)
-    y = np.concatenate([mu, std], axis=1)
-    out = Tensor(y if batched else y[0])
+    out = Tensor(np.concatenate([mu, std], axis=1))
 
     if tape is not None:
         def bwd(g: np.ndarray) -> None:
             if not _wants_grad(frames):
                 return
-            gb = g if batched else g[None]
-            gx = centered * (gb[:, None, f:] / (t * std[:, None, :]))
-            gx += gb[:, None, :f] / t
-            _accumulate(frames, gx if batched else gx[0], fresh=True)
+            gx = centered * (g[:, None, f:] / (t * std[:, None, :]))
+            gx += g[:, None, :f] / t
+            _accumulate(frames, gx, fresh=True)
         tape.record(out, bwd)
     return out

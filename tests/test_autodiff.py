@@ -32,24 +32,24 @@ def t64(arr, requires_grad=True) -> Tensor:
 
 def test_conv_difference_kernel():
     # taps applied in index order: out[t] = x[t] - x[t+2]
-    x = t64(np.arange(1.0, 6.0)[:, None])
+    x = t64(np.arange(1.0, 6.0)[None, :, None])
     w = t64([[[1.0, 0.0, -1.0]]])
     b = t64([0.0])
     out = conv1d_dilated(x, w, b)
-    np.testing.assert_array_equal(out.data, [[-2.0], [-2.0], [-2.0]])
+    np.testing.assert_array_equal(out.data, [[[-2.0], [-2.0], [-2.0]]])
 
 
 def test_conv_output_length_with_dilation():
     # 7 frames, kernel 3, dilation 2 spans (3-1)*2 = 4 frames, leaving 3
-    x = t64(np.random.default_rng(0).normal(size=(7, 2)))
+    x = t64(np.random.default_rng(0).normal(size=(1, 7, 2)))
     w = t64(np.random.default_rng(1).normal(size=(4, 2, 3)))
     out = conv1d_dilated(x, w, t64(np.zeros(4)), dilation=2)
-    assert out.shape == (3, 4)
+    assert out.shape == (1, 3, 4)
 
 
 def test_conv_identity_kernel():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(6, 3))
+    x = rng.normal(size=(1, 6, 3))
     w = np.eye(3)[:, :, None]  # k=1, each channel copied through
     out = conv1d_dilated(t64(x), t64(w), t64(np.zeros(3)))
     np.testing.assert_allclose(out.data, x, rtol=0, atol=0)
@@ -62,8 +62,8 @@ def test_conv_batched_matches_loop():
     b = t64(rng.normal(size=5))
     batched = conv1d_dilated(t64(x), w, b, dilation=2)
     for n in range(4):
-        single = conv1d_dilated(t64(x[n]), w, b, dilation=2)
-        np.testing.assert_allclose(batched.data[n], single.data, atol=1e-14)
+        single = conv1d_dilated(t64(x[n:n + 1]), w, b, dilation=2)
+        np.testing.assert_allclose(batched.data[n:n + 1], single.data, atol=1e-14)
 
 
 def test_dense_relu_worked_example():
@@ -127,14 +127,15 @@ def test_grad_conv(trial):
     d = int(rng.integers(1, 3))
     t_in = (k - 1) * d + int(rng.integers(1, 5))
     c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    x = t64(rng.normal(size=(t_in, c_in)))
+    x = t64(rng.normal(size=(1, t_in, c_in)))
     w = t64(rng.normal(size=(c_out, c_in, k)))
     b = t64(rng.normal(size=c_out))
 
     def fn():
         tape = Tape()
         out = conv1d_dilated(x, w, b, dilation=d, tape=tape)
-        return mse_loss(out, Tensor(np.zeros(out.shape)), tape), tape
+        rows = reshape(out, out.shape[1:], tape)
+        return mse_loss(rows, Tensor(np.zeros(rows.shape)), tape), tape
 
     assert_gradcheck(fn, {"x": x, "w": w, "b": b})
 

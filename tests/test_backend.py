@@ -357,7 +357,7 @@ def test_plda_separates_speakers(plda_truth):
     speaker_of = {f"u{i}": fresh_labs[i] for i in range(len(fresh))}
     scored = score_trials(all_pairs_trials(speaker_of), table,
                           scorer=model, length_norm=False)
-    tg, nt = scored.target_scores(), scored.nontarget_scores()
+    tg, nt = scored.split()
     auc = (np.mean(tg[:, None] > nt[None, :])
            + 0.5 * np.mean(tg[:, None] == nt[None, :]))
     assert auc > 0.95
@@ -421,8 +421,9 @@ def test_all_pairs_trials():
 def test_score_set_partitions():
     ss = ScoreSet([Trial("a", "b", True), Trial("a", "c", False)],
                   np.array([0.9, 0.1]))
-    np.testing.assert_array_equal(ss.target_scores(), [0.9])
-    np.testing.assert_array_equal(ss.nontarget_scores(), [0.1])
+    target, nontarget = ss.split()
+    np.testing.assert_array_equal(target, [0.9])
+    np.testing.assert_array_equal(nontarget, [0.1])
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,30 @@ def test_gen_data_rejects_nan_spread(tmp_path, caplog):
     assert not (tmp_path / "corpus").exists()
 
 
+def test_gen_data_validates_every_projected_field(tmp_path, caplog):
+    # the model and detection-cost fields are checked at load, even by a
+    # command that uses neither
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("learning_rate = -1\np_target = 2\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 1
+    assert "learning_rate must be positive, got -1.0" in caplog.text
+    assert "p_target must lie in (0, 1), got 2.0" in caplog.text
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_vad_offset_must_not_be_nan(tmp_path, caplog):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("vad_offset = nan\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "corpus")]) == 1
+    assert "vad_offset must not be nan" in caplog.text
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_config_without_head_has_no_task_weight():
+    # a config file may say mtl_order = 0 alone, as --order 0 may
+    assert parse_config("mtl_order = 0\n").task_weight == 0.0
+
+
 def test_config_skips_comments_and_blanks():
     cfg = parse_config("# a comment\n\nseed = 9\n")
     assert cfg.seed == 9
@@ -284,6 +308,28 @@ def test_sweep_rejects_empty_grid(workspace, tmp_path):
     rc = main(["sweep", "--config", str(cfg), "--data", str(root / "corpus"),
                "--alphas", "", "--orders", "4", "--out", str(tmp_path / "s")])
     assert rc == 1
+
+
+def test_sweep_validates_config_before_generating_corpus(tmp_path, caplog):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(MICRO + "p_target = 2\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--alphas", "0,0.3", "--orders", "4",
+                 "--out", str(out)]) == 1
+    assert "p_target must lie in (0, 1), got 2.0" in caplog.text
+    assert not out.exists()
+
+
+def test_sweep_validates_every_system_before_training(tmp_path, caplog):
+    # order 0 has no head, so MT-o0-a3 cannot be built; the baseline
+    # before it must not be trained first
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(MICRO)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--alphas", "0,0.3", "--orders", "0",
+                 "--out", str(out)]) == 1
+    assert "task_weight > 0 requires mtl_order >= 1" in caplog.text
+    assert not out.exists()
 
 
 def test_sweep_plda_scores_match_score_command(workspace, tmp_path):

@@ -124,9 +124,9 @@ def test_counts_reported():
 def test_accepts_score_set():
     ss = ScoreSet([Trial("a", "b", True), Trial("a", "c", False)],
                   np.array([0.9, -0.3]))
-    report = detection_metrics(ss)
+    report = detection_metrics(*ss.split())
     assert report.num_target == 1 and report.num_nontarget == 1
-    assert report.eer == metrics_oracle(ss).eer
+    assert report.eer == metrics_oracle(*ss.split()).eer
 
 
 def test_input_validation():

@@ -8,6 +8,8 @@ import pytest
 from xveckit import binio
 from xveckit import model as model_module
 from xveckit.autodiff import (
+    BN_EPS,
+    BN_MOMENTUM,
     OptimizerState,
     Tape,
     Tensor,
@@ -23,7 +25,7 @@ from xveckit.autodiff import (
     scale,
     softmax_cross_entropy,
 )
-from xveckit.data import CorpusSpec, generate_corpus
+from xveckit.data import CorpusSpec, FeatureMatrix, generate_corpus
 from xveckit.errors import (
     BadMagicError,
     ConfigurationError,
@@ -200,9 +202,9 @@ def reference_batchnorm(inp, gamma, beta, running, tape):
     products over the rows."""
     x = inp.data
     mu, var = x.mean(axis=0), x.var(axis=0)
-    inv = 1.0 / np.sqrt(var + running.eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x - mu) * inv
-    m = running.momentum
+    m = BN_MOMENTUM
     running.mean = m * running.mean + (1.0 - m) * mu
     running.var = m * running.var + (1.0 - m) * var
     out = Tensor(gamma.data * xhat + beta.data)
@@ -328,8 +330,9 @@ def test_embedding_depends_on_frame_layers(corpus):
 
 def test_embedding_rejects_short_utterance():
     model = build_model(MINIATURE_CONFIG)
-    with pytest.raises(InputTooShortError):
-        extract_embedding(model, np.zeros((14, 6), dtype=np.float32))
+    short = FeatureMatrix("spk0_utt3", "spk0", np.zeros((14, 6), dtype=np.float32))
+    with pytest.raises(InputTooShortError, match="utterance 'spk0_utt3' of 14 frames"):
+        extract_embedding(model, short)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source hygiene of src/xveckit: no dead imports, no unreferenced private
-helpers. Deleting code tends to leave both behind; this reads every
-module with ast, so it runs nothing of the package.
+helpers, no package import deferred into a function. Deleting code tends
+to leave the first two behind; this reads every module with ast, so it
+runs nothing of the package.
 """
 
 import ast
@@ -61,3 +62,14 @@ def test_private_helpers_are_referenced():
                     and node.name.startswith("_") and not node.name.startswith("__")
                     and node.name not in referenced]
     assert unreferenced == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_package_imports_are_at_module_level(module):
+    # stats imports only autodiff and errors, so no module of the package
+    # needs a deferred import to break a cycle
+    nested = [f"line {node.lineno}: from {'.' * node.level}{node.module or ''} import ..."
+              for top in MODULES[module].body if not isinstance(top, (ast.Import, ast.ImportFrom))
+              for node in ast.walk(top)
+              if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert nested == []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from xveckit.autodiff import Tape, Tensor, grad_check, mse_loss, reshape
+from xveckit.autodiff import Tape, Tensor, grad_check, mse_loss
 from xveckit.errors import ConfigurationError, DataError, PoolingError
 from xveckit.stats import (
     DEGENERATE_SIGMA,
@@ -147,8 +147,8 @@ def test_moments_input_validation():
 # ---------------------------------------------------------------------------
 
 def test_pool_worked_example():
-    out = stats_pool(Tensor(np.array([[0.0], [2.0]])))
-    np.testing.assert_allclose(out.data, [1.0, math.sqrt(1.0 + POOL_EPS)],
+    out = stats_pool(Tensor(np.array([[[0.0], [2.0]]])))
+    np.testing.assert_allclose(out.data, [[1.0, math.sqrt(1.0 + POOL_EPS)]],
                                rtol=0, atol=1e-15)
 
 
@@ -158,32 +158,31 @@ def test_pool_batched_matches_single():
     batched = stats_pool(Tensor(x))
     assert batched.shape == (3, 8)
     for n in range(3):
-        single = stats_pool(Tensor(x[n]))
-        np.testing.assert_allclose(batched.data[n], single.data, atol=1e-14)
+        single = stats_pool(Tensor(x[n:n + 1]))
+        np.testing.assert_allclose(batched.data[n:n + 1], single.data, atol=1e-14)
 
 
 def test_pool_constant_channel_reports_floor():
-    out = stats_pool(Tensor(np.full((10, 2), 5.0)))
-    np.testing.assert_allclose(out.data, [5.0, 5.0, math.sqrt(POOL_EPS), math.sqrt(POOL_EPS)])
+    out = stats_pool(Tensor(np.full((1, 10, 2), 5.0)))
+    np.testing.assert_allclose(out.data, [[5.0, 5.0, math.sqrt(POOL_EPS), math.sqrt(POOL_EPS)]])
 
 
 def test_pool_requires_two_frames():
     with pytest.raises(PoolingError):
-        stats_pool(Tensor(np.zeros((1, 4))))
+        stats_pool(Tensor(np.zeros((1, 1, 4))))
     with pytest.raises(ConfigurationError):
-        stats_pool(Tensor(np.zeros(4)))
+        stats_pool(Tensor(np.zeros((5, 4))))
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (2, 1), (4, 7, 2)])
 def test_pool_gradient(shape):
     rng = np.random.default_rng(sum(shape))
-    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    # a [T, F] shape is pooled as a batch of one
+    x = Tensor(rng.normal(size=shape).reshape(-1, *shape[-2:]), requires_grad=True)
 
     def fn():
         tape = Tape()
         out = stats_pool(x, tape)
-        if out.data.ndim == 1:  # mse wants rows
-            out = reshape(out, (1, out.shape[0]), tape)
         return mse_loss(out, Tensor(np.ones(out.shape)), tape), tape
 
     report = grad_check(fn, {"x": x})
@@ -192,13 +191,12 @@ def test_pool_gradient(shape):
 
 def test_pool_gradient_near_constant():
     # the variance floor keeps d(std)/dx finite when spread is ~0
-    x = Tensor(np.full((6, 2), 1.0) + np.random.default_rng(5).normal(size=(6, 2)) * 1e-3,
+    x = Tensor(np.full((1, 6, 2), 1.0) + np.random.default_rng(5).normal(size=(1, 6, 2)) * 1e-3,
                requires_grad=True)
 
     def fn():
         tape = Tape()
-        out = reshape(stats_pool(x, tape), (1, 4), tape)
-        return mse_loss(out, Tensor(np.zeros((1, 4))), tape), tape
+        return mse_loss(stats_pool(x, tape), Tensor(np.zeros((1, 4))), tape), tape
 
     report = grad_check(fn, {"x": x})
     assert report.passed, report.per_tensor
