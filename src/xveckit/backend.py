@@ -12,7 +12,10 @@ within-class scatter and taking the symmetric eigendecomposition
 so the largest-magnitude entry is positive.
 
 Backends are tensor containers under the magic "XVBK", the framing of
-model checkpoints, owned by binio.write_container/read_container.
+model checkpoints, owned by binio.write_container/read_container. Their
+metadata holds length_norm alone; the tensors are the centering mean and
+the LDA projection, then the PLDA mean, between and within covariances
+when PLDA was fit, and the dimensions are read off their shapes.
 Embedding archives ("XVEB") are framed here and check their magic and
 version through binio.Reader.header. Trial files are text lines
 "enroll_id test_id target|nontarget"; score files are
@@ -72,10 +75,6 @@ class Preprocessor:
     mean: np.ndarray
     projection: np.ndarray  # [lda_dim, emb_dim]
 
-    @property
-    def lda_dim(self) -> int:
-        return self.projection.shape[0]
-
     def apply(self, embeddings: np.ndarray) -> np.ndarray:
         x = np.asarray(embeddings, dtype=np.float64)
         single = x.ndim == 1
@@ -127,6 +126,15 @@ def _class_stats(embeddings: np.ndarray, labels, who: str) -> _ClassStats:
                        retained_mean=x[np.concatenate(retained)].mean(axis=0))
 
 
+def check_lda_dim(lda_dim: int, n_classes: int, dim: int) -> None:
+    """LDA on n_classes speakers of dimension dim finds at most
+    min(dim, n_classes - 1) directions."""
+    max_dim = min(dim, n_classes - 1)
+    if not 1 <= lda_dim <= max_dim:
+        raise ConfigurationError(
+            f"lda_dim must lie in [1, {max_dim}] for {n_classes} speakers of dim {dim}, got {lda_dim}")
+
+
 def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocessor:
     """Fit centering and LDA on labeled embeddings.
 
@@ -139,11 +147,7 @@ def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocess
     stats = _class_stats(embeddings, labels, "LDA")
     x = stats.x
     d = x.shape[1]
-    n_classes = stats.counts.size
-    max_dim = min(d, n_classes - 1)
-    if not 1 <= lda_dim <= max_dim:
-        raise ConfigurationError(
-            f"lda_dim must lie in [1, {max_dim}] for {n_classes} speakers of dim {d}, got {lda_dim}")
+    check_lda_dim(lda_dim, stats.counts.size, d)
 
     n_retained = stats.counts.sum()
     s_within = stats.scatter_within / n_retained
@@ -440,38 +444,33 @@ def read_scores(path: Path | str) -> dict[tuple[str, str], float]:
 
 def save_backend(path: Path | str, preprocessor: Preprocessor,
                  plda: PldaModel | None = None, length_norm: bool = True) -> None:
-    meta = {"emb_dim": preprocessor.mean.shape[0], "lda_dim": preprocessor.lda_dim,
-            "length_norm": int(length_norm), "has_plda": int(plda is not None)}
     arrays = [preprocessor.mean, preprocessor.projection]
     if plda is not None:
         arrays += [plda.mean, plda.between, plda.within]
-    binio.write_container(path, BACKEND_MAGIC, BACKEND_VERSION, meta, arrays)
+    binio.write_container(path, BACKEND_MAGIC, BACKEND_VERSION,
+                          {"length_norm": int(length_norm)}, arrays)
 
 
 def load_backend(path: Path | str) -> tuple[Preprocessor, PldaModel | None, bool]:
     meta, arrays = binio.read_container(path, BACKEND_MAGIC, BACKEND_VERSION, "a backend file")
     try:
-        emb_dim = int(meta["emb_dim"])
-        lda_dim = int(meta["lda_dim"])
         length_norm = bool(int(meta["length_norm"]))
-        has_plda = bool(int(meta["has_plda"]))
     except (KeyError, ValueError) as err:
         raise ParseError(f"{path}: bad backend metadata ({err})") from None
-    expected = 5 if has_plda else 2
-    if len(arrays) != expected:
-        raise DimMismatchError(f"{path}: expected {expected} tensors, file has {len(arrays)}")
+    if len(arrays) not in (2, 5):
+        raise DimMismatchError(f"{path}: expected 2 or 5 tensors, file has {len(arrays)}")
     mean, projection, *plda_arrays = [np.asarray(arr, dtype=np.float64) for arr in arrays]
-    if mean.shape != (emb_dim,) or projection.shape != (lda_dim, emb_dim):
-        raise DimMismatchError(f"{path}: tensor shapes disagree with metadata")
-    pre = Preprocessor(mean=mean, projection=projection)
+    if projection.ndim != 2 or mean.shape != projection.shape[1:]:
+        raise DimMismatchError(f"{path}: mean shaped {mean.shape} does not fit "
+                               f"projection shaped {projection.shape}")
     plda = None
-    if has_plda:
+    if plda_arrays:
         p_mean, between, within = plda_arrays
-        if p_mean.shape != (lda_dim,) or between.shape != (lda_dim, lda_dim) \
-                or within.shape != (lda_dim, lda_dim):
-            raise DimMismatchError(f"{path}: PLDA tensor shapes disagree with metadata")
+        k = projection.shape[0]
+        if p_mean.shape != (k,) or between.shape != (k, k) or within.shape != (k, k):
+            raise DimMismatchError(f"{path}: PLDA tensor shapes do not fit LDA dim {k}")
         plda = PldaModel(mean=p_mean, between=between, within=within)
-    return pre, plda, length_norm
+    return Preprocessor(mean=mean, projection=projection), plda, length_norm
 
 
 def write_embeddings(path: Path | str, vectors: dict[str, np.ndarray],

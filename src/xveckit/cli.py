@@ -22,6 +22,7 @@ import dataclasses
 import logging
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -98,8 +99,9 @@ class RunConfig:
             problems.append(f"lda_dim must be >= 1, got {self.lda_dim}")
         if self.plda_iterations < 1:
             problems.append(f"plda_iterations must be >= 1, got {self.plda_iterations}")
-        if self.vad_offset is not None and math.isnan(self.vad_offset):
-            problems.append("vad_offset must not be nan")
+        if self.vad_offset is not None and not self.vad_offset > -math.inf:
+            # -inf lifts energy_vad's threshold to +inf, which drops every frame
+            problems.append(f"vad_offset must not be nan or -inf, got {self.vad_offset}")
         for cls in (CorpusSpec, ModelConfig, DcfParams):
             try:
                 _project(self, cls).validate()
@@ -216,7 +218,6 @@ def _train_system(config: RunConfig, train_part: Manifest,
     model.ckpt and train_log.csv into `out`."""
     model = build_model(_project(config, ModelConfig,
                                  num_speakers=len(train_part.speakers)))
-    model.corpus_seed = config.seed
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "config.txt", serialize_config(config))
     return model, train(model, train_part, out_dir=out)
@@ -329,6 +330,20 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+def _check_sweep(config: RunConfig, manifest: Manifest | None) -> None:
+    """Reject a heldout split the sweep cannot make, or an LDA size its PLDA
+    backend cannot fit, before anything is written. Without a manifest,
+    the corpus the config would generate is checked."""
+    counts = ([config.utterances_per_speaker] * config.num_speakers if manifest is None
+              else list(Counter(e.speaker_id for e in manifest).values()))
+    held, most = config.holdout_per_speaker, min(counts, default=0) - 1
+    if not 1 <= held <= most:
+        raise ConfigurationError(f"a sweep scores a heldout split: holdout_per_speaker must lie "
+                                 f"in [1, {most}], got {held}")
+    if config.scorer == "plda":
+        bk.check_lda_dim(config.lda_dim, sum(n - held >= 2 for n in counts), config.segment_width)
+
+
 def _run_system(config: RunConfig, manifest: Manifest, out: Path) -> MetricsReport:
     """Train one system and evaluate it on held-out all-pairs trials."""
     train_part = _split_manifest(manifest, config, "train")
@@ -364,12 +379,12 @@ def _cmd_sweep(args) -> int:
                                  task_weight=alpha)
             sys_config.validate()
             systems.setdefault(system_name(order, alpha), sys_config)
+    manifest = Manifest.load(Path(args.data) / "manifest.csv") if args.data else None
+    _check_sweep(config, manifest)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.data:
-        manifest = Manifest.load(Path(args.data) / "manifest.csv")
-    else:
+    if manifest is None:
         corpus_dir = out / "corpus"
         log.info("no --data given; generating corpus into %s", corpus_dir)
         manifest = generate_corpus(_project(config, CorpusSpec), corpus_dir)
@@ -380,13 +395,11 @@ def _cmd_sweep(args) -> int:
                  sys_config.mtl_order, sys_config.task_weight, config.seed)
         results.append((name, _run_system(sys_config, manifest, out / name)))
 
-    width = max(len("system"), *(len(name) for name, _ in results))
-    lines = [f"{'system':<{width}}  {'EER%':>7}  {'minDCF':>7}  {'actDCF':>7}"]
-    for name, rep in results:
-        lines.append(f"{name:<{width}}  {100 * rep.eer:7.2f}  "
-                     f"{rep.min_dcf:7.4f}  {rep.act_dcf:7.4f}")
-    table = "\n".join(lines)
-    print(table)
+    header = results[0][1].format_table().split("\n")[0]
+    rows = [("system", header)] + [(name, rep.format_table().split("\n")[1])
+                                   for name, rep in results]
+    width = max(len(name) for name, _ in rows)
+    print("\n".join(f"{name:<{width}}  {row}" for name, row in rows))
     csv_lines = ["system,eer,min_dcf,act_dcf"]
     csv_lines += [f"{name},{rep.eer!r},{rep.min_dcf!r},{rep.act_dcf!r}"
                   for name, rep in results]

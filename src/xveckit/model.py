@@ -19,12 +19,13 @@ task_weight 0 with mtl_order 0 is the plain classification baseline.
 
 Checkpoints are tensor containers under the magic "XVCK", framed by
 binio.write_container and binio.read_container. The metadata holds every
-ModelConfig field through binio's field codec, the step counter, corpus
-seed and optimizer hyperparameters. Tensors appear in declaration
-order: trainable parameters, batch-norm running stats, then optimizer
-moments (_state_arrays); the rollback after a divergence copies and
-restores the same list. Models train in float32; save -> load is
-bitwise exact and resuming reproduces the uninterrupted loss trajectory.
+ModelConfig field through binio's field codec, plus the step and
+trained-epoch counters; the optimizer's hyperparameters are the config's.
+Tensors appear in declaration order: trainable parameters, batch-norm
+running stats, then optimizer moments (_state_arrays); the rollback
+after a divergence copies and restores the same list. Models train in
+float32; save -> load is bitwise exact and resuming reproduces the
+uninterrupted loss trajectory.
 """
 
 from __future__ import annotations
@@ -182,10 +183,13 @@ class Model:
     params: dict[str, Tensor]
     bn_states: dict[str, BatchNormState]
     dtype: np.dtype
-    step: int = 0
+    opt_state: OptimizerState
     trained_epochs: int = 0
-    corpus_seed: int = 0
-    opt_state: OptimizerState | None = None
+
+    @property
+    def step(self) -> int:
+        """Optimizer updates applied so far."""
+        return self.opt_state.step_count
 
 
 @dataclass
@@ -277,7 +281,9 @@ def build_model(config: ModelConfig, dtype=np.float32) -> Model:
         out_dim = config.mtl_order * config.feature_dim
         param("mtl.weight", _init_uniform(rng, (out_dim, seg), seg, dtype))
         param("mtl.bias", np.zeros(out_dim, dtype=dtype))
-    return Model(config=config, params=params, bn_states=bn_states, dtype=dtype)
+    return Model(config=config, params=params, bn_states=bn_states, dtype=dtype,
+                 opt_state=OptimizerState(params, config.learning_rate, config.beta1,
+                                          config.beta2, config.adam_eps))
 
 
 def _pooled(model: Model, x, mode: str, tape: Tape | None = None,
@@ -342,19 +348,15 @@ def multitask_loss(logits: Tensor, labels, reconstruction: Tensor | None,
 
 
 def _snapshot(model: Model) -> tuple:
-    """Copies of the checkpoint's tensors, plus the step counters."""
-    opt_count = model.opt_state.step_count if model.opt_state is not None else None
-    return ([a.copy() for a in _state_arrays(model)], model.step, model.trained_epochs,
-            opt_count)
+    """Copies of the checkpoint's tensors, plus the step and epoch counters."""
+    return [a.copy() for a in _state_arrays(model)], model.step, model.trained_epochs
 
 
 def _restore(model: Model, state: tuple) -> None:
     """Write a _snapshot back into the model's arrays in place."""
-    arrays, model.step, model.trained_epochs, opt_count = state
+    arrays, model.opt_state.step_count, model.trained_epochs = state
     for dest, saved in zip(_state_arrays(model), arrays, strict=True):
         dest[...] = saved
-    if opt_count is not None:
-        model.opt_state.step_count = opt_count
 
 
 def _write_log(path: Path, rows: list[tuple]) -> None:
@@ -385,7 +387,6 @@ def _train_step(model: Model, batch: Batch) -> tuple[float, float, float]:
     backward(parts.total, tape)
     optimizer_step(model.params, {k: p.grad for k, p in model.params.items()},
                    model.opt_state, cfg.weight_decay)
-    model.step += 1
     return losses
 
 
@@ -408,9 +409,6 @@ def train(model: Model, manifest: Manifest, epochs: int | None = None,
     if len(speakers) != cfg.num_speakers:
         raise ConfigurationError(
             f"model was built for {cfg.num_speakers} speakers, manifest has {len(speakers)}")
-    if model.opt_state is None:
-        model.opt_state = OptimizerState(model.params, cfg.learning_rate, cfg.beta1,
-                                         cfg.beta2, cfg.adam_eps)
     num_epochs = cfg.epochs if epochs is None else epochs
     if num_epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {num_epochs}")
@@ -503,14 +501,9 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
     labels = rng.integers(0, config.num_speakers, size=config.batch_size)
     targets = hos_vector(batch, config.mtl_order).astype(np.float32)
 
-    def system(cfg: ModelConfig, fixed_targets) -> tuple[Model, Batch]:
-        mdl = build_model(cfg)
-        mdl.opt_state = OptimizerState(mdl.params, cfg.learning_rate, cfg.beta1,
-                                       cfg.beta2, cfg.adam_eps)
-        return mdl, Batch(batch, labels, fixed_targets)
-
-    systems = {"base": system(replace(config, mtl_order=0, task_weight=0.0), None),
-               "mtl": system(config, targets)}
+    systems = {"base": (build_model(replace(config, mtl_order=0, task_weight=0.0)),
+                        Batch(batch, labels, None)),
+               "mtl": (build_model(config), Batch(batch, labels, targets))}
 
     def timed_round() -> dict[str, float]:
         spent = dict.fromkeys(systems, 0.0)
@@ -530,33 +523,20 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
 
 # --- checkpoint serialization ---
 
-# metadata besides the config: Model counters, then OptimizerState
-# hyperparameters under an "opt_" prefix
-_COUNTERS = ("step", "trained_epochs", "corpus_seed")
-_OPT_FLOATS = ("learning_rate", "beta1", "beta2", "eps")
-
-
 def _state_arrays(model: Model) -> list[np.ndarray]:
     arrays = [p.data for p in model.params.values()]
     for state in model.bn_states.values():
         arrays.append(state.mean)
         arrays.append(state.var)
-    if model.opt_state is not None:
-        arrays.extend(model.opt_state.first_moment[k] for k in model.params)
-        arrays.extend(model.opt_state.second_moment[k] for k in model.params)
+    arrays.extend(model.opt_state.first_moment[k] for k in model.params)
+    arrays.extend(model.opt_state.second_moment[k] for k in model.params)
     return arrays
 
 
 def save_checkpoint(model: Model, path: Path | str) -> None:
     meta: dict[str, object] = {f.name: binio.format_field(f.type, getattr(model.config, f.name))
                                for f in dataclasses.fields(ModelConfig)}
-    meta.update({key: getattr(model, key) for key in _COUNTERS})
-    o = model.opt_state
-    meta["has_opt"] = int(o is not None)
-    if o is not None:
-        meta["opt_step_count"] = o.step_count
-        meta.update({f"opt_{key}": repr(getattr(o, key)) for key in _OPT_FLOATS})
-
+    meta.update(step=model.step, trained_epochs=model.trained_epochs)
     binio.write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, _state_arrays(model))
 
 
@@ -566,12 +546,8 @@ def load_checkpoint(path: Path | str) -> Model:
     try:
         model = build_model(ModelConfig(**{f.name: binio.parse_field(f.type, meta[f.name])
                                            for f in dataclasses.fields(ModelConfig)}))
-        for key in _COUNTERS:
-            setattr(model, key, int(meta[key]))
-        if int(meta["has_opt"]):
-            model.opt_state = OptimizerState(
-                model.params, **{key: float(meta[f"opt_{key}"]) for key in _OPT_FLOATS})
-            model.opt_state.step_count = int(meta["opt_step_count"])
+        model.opt_state.step_count = int(meta["step"])
+        model.trained_epochs = int(meta["trained_epochs"])
     except KeyError as err:
         raise ParseError(f"{path}: missing metadata key {err}") from None
     except ValueError as err:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from xveckit import backend, binio
 from xveckit.backend import (
     PldaModel,
     Preprocessor,
@@ -26,6 +27,7 @@ from xveckit.errors import (
     BadMagicError,
     ConfigurationError,
     DataError,
+    DimMismatchError,
     ParseError,
     TruncatedFileError,
 )
@@ -474,6 +476,56 @@ def test_backend_roundtrip_cosine_only(tmp_path):
     pre2, plda2, ln = load_backend(tmp_path / "b.xvbk")
     assert plda2 is None and ln
     assert pre2.projection.shape == (3, 4)
+
+
+def read_backend_container(path):
+    return binio.read_container(path, backend.BACKEND_MAGIC, backend.BACKEND_VERSION, "a backend")
+
+
+def write_backend_container(path, meta, arrays):
+    binio.write_container(path, backend.BACKEND_MAGIC, backend.BACKEND_VERSION, meta, arrays)
+
+
+@pytest.mark.parametrize("with_plda", [False, True])
+def test_backend_metadata_is_length_norm_alone(tmp_path, with_plda):
+    pre = Preprocessor(mean=np.zeros(4), projection=np.eye(4)[:3])
+    plda = PldaModel(mean=np.zeros(3), between=np.eye(3), within=np.eye(3)) if with_plda else None
+    save_backend(tmp_path / "b.xvbk", pre, plda, length_norm=False)
+    meta, arrays = read_backend_container(tmp_path / "b.xvbk")
+    assert meta == {"length_norm": "0"}
+    assert len(arrays) == (5 if with_plda else 2)
+
+
+@pytest.mark.parametrize("with_plda", [False, True])
+def test_backend_with_restated_keys_still_loads(tmp_path, with_plda):
+    # a backend of the earlier format also restated its dimensions and
+    # whether it holds PLDA
+    pre = Preprocessor(mean=np.arange(4.0), projection=np.arange(12.0).reshape(3, 4))
+    plda = PldaModel(mean=np.ones(3), between=2 * np.eye(3), within=np.eye(3)) if with_plda else None
+    save_backend(tmp_path / "new.xvbk", pre, plda)
+    meta, arrays = read_backend_container(tmp_path / "new.xvbk")
+    old_meta = {"emb_dim": 4, "lda_dim": 3, **meta, "has_plda": int(with_plda)}
+    write_backend_container(tmp_path / "old.xvbk", old_meta, arrays)
+    new, old = load_backend(tmp_path / "new.xvbk"), load_backend(tmp_path / "old.xvbk")
+    assert old[2] == new[2] is True
+    assert (old[1] is None) == (new[1] is None) == (not with_plda)
+    tensors = [[r[0].mean, r[0].projection] + ([r[1].mean, r[1].between, r[1].within]
+                                               if with_plda else []) for r in (new, old)]
+    assert [a.tobytes() for a in tensors[0]] == [a.tobytes() for a in tensors[1]]
+
+
+@pytest.mark.parametrize("shapes, message", [
+    ([(4,), (3, 4), (3,)], "expected 2 or 5 tensors, file has 3"),
+    ([(3,), (3, 4)], r"mean shaped \(3,\) does not fit projection shaped \(3, 4\)"),
+    ([(4,), (4,)], r"mean shaped \(4,\) does not fit projection shaped \(4,\)"),
+    ([(4,), (3, 4), (2,), (3, 3), (3, 3)], "PLDA tensor shapes do not fit LDA dim 3"),
+    ([(4,), (3, 4), (3,), (3, 3), (2, 2)], "PLDA tensor shapes do not fit LDA dim 3"),
+])
+def test_backend_tensor_shapes_must_fit(tmp_path, shapes, message):
+    write_backend_container(tmp_path / "b.xvbk", {"length_norm": 1},
+                            [np.zeros(shape) for shape in shapes])
+    with pytest.raises(DimMismatchError, match=message):
+        load_backend(tmp_path / "b.xvbk")
 
 
 def test_backend_bad_magic(tmp_path):

@@ -332,6 +332,53 @@ def test_sweep_validates_every_system_before_training(tmp_path, caplog):
     assert not out.exists()
 
 
+def test_sweep_rejects_vad_offset_minus_infinity(tmp_path, caplog):
+    # -inf would make energy_vad drop every frame, which shows only at
+    # extraction, after the corpus and a system were written
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(MICRO + "vad_offset = -inf\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--alphas", "0.3", "--orders", "4",
+                 "--out", str(out)]) == 1
+    assert "vad_offset must not be nan or -inf, got -inf" in caplog.text
+    assert not out.exists()
+
+
+def test_sweep_needs_a_heldout_split(tmp_path, caplog):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(MICRO + "holdout_per_speaker = 0\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--alphas", "0,0.3", "--orders", "4",
+                 "--out", str(out)]) == 1
+    assert "holdout_per_speaker must lie in [1, 7], got 0" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given_data", [False, True], ids=["generated", "data"])
+def test_sweep_holdout_must_leave_training_utterances(workspace, tmp_path, caplog, given_data):
+    # 8 utterances per speaker: holding out 8 leaves none to train on
+    root, _ = workspace
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(MICRO + "holdout_per_speaker = 8\n")
+    out = tmp_path / "s"
+    data = ["--data", str(root / "corpus")] if given_data else []
+    assert main(["sweep", "--config", str(cfg), *data, "--alphas", "0,0.3", "--orders", "4",
+                 "--out", str(out)]) == 1
+    assert "holdout_per_speaker must lie in [1, 7], got 8" in caplog.text
+    assert not out.exists()
+
+
+def test_sweep_checks_lda_dim_before_training(tmp_path, caplog):
+    # the PLDA backend is fit on 4 training speakers: LDA finds at most 3 directions
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(MICRO + "lda_dim = 4\nscorer = plda\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--alphas", "0,0.3", "--orders", "4",
+                 "--out", str(out)]) == 1
+    assert "lda_dim must lie in [1, 3] for 4 speakers of dim 8, got 4" in caplog.text
+    assert not out.exists()
+
+
 def test_sweep_plda_scores_match_score_command(workspace, tmp_path):
     root, cfg = workspace
     out = tmp_path / "sweep"

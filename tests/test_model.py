@@ -1,6 +1,6 @@
 """Network assembly, training loop, embeddings, and checkpoints."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -258,7 +258,6 @@ def test_lean_frame_layers_match_five_op_composition():
     # accumulate separately over the three steps.
     lean = build_model(MINIATURE_CONFIG, dtype=np.float64)
     ref = build_model(MINIATURE_CONFIG, dtype=np.float64)
-    lean.opt_state = OptimizerState(lean.params, MINIATURE_CONFIG.learning_rate)
     rng = np.random.default_rng(21)
     for _ in range(3):
         x = rng.normal(size=(4, 20, 6))
@@ -476,13 +475,53 @@ def test_checkpoint_truncated(tmp_path):
 
 
 def test_checkpoint_missing_optimizer_key(tmp_path):
-    model = build_model(MINIATURE_CONFIG)
-    model.opt_state = OptimizerState(model.params)
-    save_checkpoint(model, tmp_path / "x.ckpt")
+    # `step` is the optimizer's step count, the one counter a checkpoint keeps
+    save_checkpoint(build_model(MINIATURE_CONFIG), tmp_path / "x.ckpt")
     raw = (tmp_path / "x.ckpt").read_bytes()
-    (tmp_path / "x.ckpt").write_bytes(raw.replace(b"opt_eps=", b"opt_xps=", 1))
-    with pytest.raises(ParseError, match="opt_eps"):
+    assert raw.count(b"step=") == 1
+    (tmp_path / "x.ckpt").write_bytes(raw.replace(b"step=", b"stxp=", 1))
+    with pytest.raises(ParseError, match="missing metadata key 'step'"):
         load_checkpoint(tmp_path / "x.ckpt")
+
+
+def test_fresh_model_carries_its_optimizer():
+    model = build_model(MINIATURE_CONFIG)
+    opt = model.opt_state
+    assert model.step == opt.step_count == 0 and model.trained_epochs == 0
+    cfg = MINIATURE_CONFIG
+    assert (opt.learning_rate, opt.beta1, opt.beta2, opt.eps) \
+        == (cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    assert opt.first_moment.keys() == opt.second_moment.keys() == model.params.keys()
+
+
+def test_checkpoint_metadata_is_config_and_counters(corpus, tmp_path):
+    model = build_model(MINIATURE_CONFIG)
+    train(model, corpus, epochs=1)
+    save_checkpoint(model, tmp_path / "x.ckpt")
+    meta, _ = binio.read_container(tmp_path / "x.ckpt", model_module.CHECKPOINT_MAGIC,
+                                   model_module.CHECKPOINT_VERSION, "a model checkpoint")
+    assert list(meta) == [f.name for f in fields(ModelConfig)] + ["step", "trained_epochs"]
+    assert (meta["step"], meta["trained_epochs"]) == ("5", "1")
+
+
+def test_checkpoint_with_restated_keys_still_loads(corpus, tmp_path):
+    # a checkpoint of the earlier format also restated the optimizer's
+    # settings and step count, a has-optimizer flag and the corpus seed
+    model = build_model(MINIATURE_CONFIG)
+    train(model, corpus, epochs=1)
+    save_checkpoint(model, tmp_path / "new.ckpt")
+    magic, version = model_module.CHECKPOINT_MAGIC, model_module.CHECKPOINT_VERSION
+    meta, arrays = binio.read_container(tmp_path / "new.ckpt", magic, version, "a checkpoint")
+    cfg = model.config
+    meta.update(corpus_seed=cfg.seed, has_opt=1, opt_step_count=model.step,
+                opt_learning_rate=repr(cfg.learning_rate), opt_beta1=repr(cfg.beta1),
+                opt_beta2=repr(cfg.beta2), opt_eps=repr(cfg.adam_eps))
+    binio.write_container(tmp_path / "old.ckpt", magic, version, meta, arrays)
+    old = load_checkpoint(tmp_path / "old.ckpt")
+    assert state_bytes(old) == state_bytes(model)
+    assert (old.step, old.trained_epochs) == (model.step, model.trained_epochs) == (5, 1)
+    save_checkpoint(old, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "new.ckpt").read_bytes()
 
 
 def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
