@@ -7,8 +7,16 @@ and dense layers, both with an optional built-in relu; batch
 normalization over [N, F] or [N, T, F]; the two losses; and a handful of
 glue ops. Statistics pooling lives in stats.py. Backward runs the tape
 once in reverse; every op's backward closure accumulates into the
-gradients of its inputs, and the first write to a gradient stores a
-copy, never the caller's array.
+gradients of its inputs.
+
+Ownership: a tape is single-use, so a backward closure may overwrite
+two kinds of array and no others. One is the gradient it is handed,
+which belongs to its output tensor alone (see _accumulate). The other
+is any array it saved during forward that no caller can see, such as
+an im2col buffer or a centred copy of the input. Inputs, forward
+outputs and parameters are never written. So after backward a leaf's
+.grad is its gradient, while an intermediate tensor's .grad is not
+defined.
 
 Ops are pure functions of their explicit inputs plus the tape. Passing
 tape=None runs forward only, which is the inference path.
@@ -117,8 +125,11 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
     The first write stores a copy of g, not g itself: one array may be
     handed to several inputs (add does), and a later in-place += on one
-    gradient must not leak into another. fresh=True promises that g is a
-    new array no one else holds, so the first write keeps it as it is.
+    gradient must not leak into another. fresh=True promises that no one
+    else will read or write g (a new array, or one the calling closure
+    owns: its own gradient or a buffer it saved), so the first write
+    keeps it as it is. Either way t.grad belongs to t alone, which is
+    what lets the backward closure of t's producer overwrite it.
     """
     if not _wants_grad(t):
         return
@@ -167,8 +178,8 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
     inp is [N, T, C_in]; weight is [C_out, C_in, k]; bias is [C_out]. No
     padding: the output keeps T - (k-1)*dilation frames. Kernel taps are
     applied in index order (no flip). The relu runs in place on the matmul
-    output, and its backward masks the incoming gradient by the positive
-    outputs.
+    output, and its backward masks the incoming gradient in place by the
+    positive outputs.
     """
     if not isinstance(dilation, int) or dilation < 1:
         raise ConfigurationError(f"dilation must be a positive integer, got {dilation!r}")
@@ -208,16 +219,18 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
         def bwd(g: np.ndarray) -> None:
             g_flat = g.reshape(n * t_out, c_out)
             if activation == "relu":
-                g_flat = g_flat * (y > 0)
+                np.multiply(g_flat, y > 0, out=g_flat)
             _accumulate(bias, g_flat.sum(axis=0))
             if _wants_grad(weight):
                 gw = (g_flat.T @ cols_flat).reshape(c_out, k, c_in).transpose(0, 2, 1)
                 _accumulate(weight, gw)
             if _wants_grad(inp):
-                g_cols = (g_flat @ w_flat).reshape(n, t_out, k, c_in)
                 if k == 1:
-                    gx = g_cols.reshape(n, t, c_in)
+                    # cols_flat is the caller's input here: never write it.
+                    gx = (g_flat @ w_flat).reshape(n, t, c_in)
                 else:
+                    # The im2col buffer is spent once gw is formed.
+                    g_cols = np.matmul(g_flat, w_flat, out=cols_flat).reshape(n, t_out, k, c_in)
                     gx = np.zeros_like(x)
                     for j in range(k):
                         gx[:, j * dilation: j * dilation + t_out, :] += g_cols[:, :, j, :]
@@ -375,17 +388,20 @@ def batchnorm1d(inp: Tensor, gamma: Tensor, beta: Tensor, mode: str,
             if not _wants_grad(inp):
                 return
             a = gamma.data * inv
+            g2 *= a
             if mode == "train":
                 # d/dx of gamma * (x - mean) * inv + beta with batch
-                # statistics, folded to a * g + b * xc + c per feature
-                # (Ioffe & Szegedy 2015).
+                # statistics, folded to b * xc + c + a * g per feature
+                # (Ioffe & Szegedy 2015), summed in that order in the
+                # saved centred copy.
                 b = -a * inv * inv * (gxc_sum / rows)
                 c = -a * (g_sum / rows)
-                gx = xc * b
+                gx = xc
+                gx *= b
                 gx += c
-                gx += g2 * a
+                gx += g2
             else:
-                gx = g2 * a
+                gx = g2
             _accumulate(inp, gx.reshape(inp.data.shape), fresh=True)
         tape.record(out, bwd)
     return out
@@ -451,38 +467,27 @@ def mse_loss(pred: Tensor, target: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 class OptimizerState:
-    """Adaptive-moment state: per-parameter first/second moments plus a step count.
+    """Adaptive-moment state: per-parameter first/second moments plus a step
+    count. The hyperparameters are optimizer_step's arguments."""
 
-    Bias-corrected moments, elementwise step size, and decoupled L2 decay
-    (decay acts on the parameter directly, not through the gradient).
-    """
-
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if learning_rate <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {learning_rate}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigurationError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {eps}")
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: dict[str, Tensor]):
         self.step_count = 0
         self.first_moment = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.second_moment = {k: np.zeros_like(p.data) for k, p in params.items()}
 
 
 def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-                   state: OptimizerState, weight_decay: float = 0.0) -> None:
+                   state: OptimizerState, *, learning_rate: float, beta1: float,
+                   beta2: float, eps: float, weight_decay: float = 0.0) -> None:
     """One in-place adaptive-moment update of every parameter.
 
+    Bias-corrected moments, elementwise step size, and decoupled L2 decay
+    (decay acts on the parameter directly, not through the gradient).
     grads maps parameter name to its gradient array; a missing or None
     entry counts as a zero gradient. Non-finite gradients abort with a
     TrainingDivergedError naming the parameter. The update is a pure
-    function of (params, grads, state), so replaying a recorded
-    trajectory reproduces it bitwise.
+    function of (params, grads, state, hyperparameters), so replaying a
+    recorded trajectory reproduces it bitwise.
     """
     if weight_decay < 0:
         raise ConfigurationError(f"weight decay must be non-negative, got {weight_decay}")
@@ -493,8 +498,8 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             raise ConfigurationError(f"optimizer state shape mismatch for parameter '{name}'")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -503,14 +508,14 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             raise TrainingDivergedError(f"non-finite gradient for parameter '{name}'")
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
         if weight_decay:
             update = update + weight_decay * p.data
-        p.data -= state.learning_rate * update
+        p.data -= learning_rate * update
 
 
 @dataclass

@@ -282,8 +282,7 @@ def build_model(config: ModelConfig, dtype=np.float32) -> Model:
         param("mtl.weight", _init_uniform(rng, (out_dim, seg), seg, dtype))
         param("mtl.bias", np.zeros(out_dim, dtype=dtype))
     return Model(config=config, params=params, bn_states=bn_states, dtype=dtype,
-                 opt_state=OptimizerState(params, config.learning_rate, config.beta1,
-                                          config.beta2, config.adam_eps))
+                 opt_state=OptimizerState(params))
 
 
 def _pooled(model: Model, x, mode: str, tape: Tape | None = None,
@@ -386,7 +385,8 @@ def _train_step(model: Model, batch: Batch) -> tuple[float, float, float]:
         p.grad = None
     backward(parts.total, tape)
     optimizer_step(model.params, {k: p.grad for k, p in model.params.items()},
-                   model.opt_state, cfg.weight_decay)
+                   model.opt_state, learning_rate=cfg.learning_rate, beta1=cfg.beta1,
+                   beta2=cfg.beta2, eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
     return losses
 
 

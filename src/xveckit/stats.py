@@ -109,7 +109,8 @@ def stats_pool(frames: Tensor, tape: Tape | None = None) -> Tensor:
         def bwd(g: np.ndarray) -> None:
             if not _wants_grad(frames):
                 return
-            gx = centered * (g[:, None, f:] / (t * std[:, None, :]))
+            gx = centered
+            gx *= g[:, None, f:] / (t * std[:, None, :])
             gx += g[:, None, :f] / t
             _accumulate(frames, gx, fresh=True)
         tape.record(out, bwd)

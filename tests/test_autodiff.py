@@ -8,6 +8,7 @@ from xveckit.autodiff import (
     OptimizerState,
     Tape,
     Tensor,
+    add,
     backward,
     batchnorm1d,
     conv1d_dilated,
@@ -20,6 +21,8 @@ from xveckit.autodiff import (
     softmax_cross_entropy,
 )
 from xveckit.errors import ConfigurationError, TrainingDivergedError, UsageError
+from xveckit.model import ModelConfig
+from xveckit.stats import stats_pool
 
 
 def t64(arr, requires_grad=True) -> Tensor:
@@ -326,6 +329,100 @@ def test_constant_tensors_get_no_grad():
 
 
 # ---------------------------------------------------------------------------
+# backward ownership: a closure writes only its own gradient and the
+# buffers it saved, never an input, a forward output or a parameter
+# ---------------------------------------------------------------------------
+
+def copies(*tensors):
+    return [Tensor(t.data.copy()) for t in tensors]
+
+
+def backward_through(out, tape):
+    flat = reshape(out, (out.shape[0], -1), tape)
+    backward(mse_loss(flat, Tensor(np.ones(flat.shape)), tape), tape)
+
+
+def _conv(tape, x, w, b):
+    return conv1d_dilated(x, w, b, dilation=2, tape=tape, activation="relu")
+
+
+def _bn(mode):
+    def op(tape, x, gamma, beta):
+        state = BatchNormState(mean=np.full(3, 0.2), var=np.full(3, 1.5))
+        return batchnorm1d(x, gamma, beta, mode, state, tape=tape)
+    return op
+
+
+def _pool(tape, x):
+    return stats_pool(x, tape)
+
+
+# A one-tap kernel's im2col is its input, so its backward must not reuse
+# that as scratch the way it reuses a multi-tap im2col.
+@pytest.mark.parametrize("op, shapes", [
+    (_conv, [(2, 6, 3), (4, 3, 1), (4,)]),
+    (_conv, [(2, 9, 3), (4, 3, 3), (4,)]),
+    (_bn("train"), [(2, 5, 3), (3,), (3,)]),
+    (_bn("infer"), [(2, 5, 3), (3,), (3,)]),
+    (_pool, [(2, 5, 3)]),
+], ids=["conv-one-tap", "conv", "batchnorm-train", "batchnorm-infer", "stats_pool"])
+def test_backward_keeps_inputs_and_outputs(op, shapes):
+    rng = np.random.default_rng(42)
+    inputs = [t64(rng.normal(size=s)) for s in shapes]
+    expected = op(None, *copies(*inputs)).data
+    before = copies(*inputs)
+    tape = Tape()
+    out = op(tape, *inputs)
+    backward_through(out, tape)
+    assert inputs[0].grad is not None
+    assert out.data.tobytes() == expected.tobytes()
+    for t, ref in zip(inputs, before):
+        assert t.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("pool_first", [False, True])
+def test_grad_conv_output_feeds_batchnorm_and_pooling(pool_first):
+    rng = np.random.default_rng(43)
+    x = t64(rng.normal(size=(2, 9, 2)))
+    w = t64(rng.normal(size=(3, 2, 3)))
+    b = t64(rng.normal(size=3))
+    gamma = t64(rng.uniform(0.5, 1.5, size=3))
+    beta = t64(rng.normal(size=3))
+
+    def fn():
+        tape = Tape()
+        h = conv1d_dilated(x, w, b, dilation=2, tape=tape, activation="relu")
+        state = BatchNormState.create(3, dtype=np.float64)
+        if pool_first:
+            direct = stats_pool(h, tape)
+            normed = stats_pool(batchnorm1d(h, gamma, beta, "train", state, tape), tape)
+        else:
+            normed = stats_pool(batchnorm1d(h, gamma, beta, "train", state, tape), tape)
+            direct = stats_pool(h, tape)
+        both = add(direct, normed, tape)
+        return mse_loss(both, Tensor(np.ones(both.shape)), tape), tape
+
+    assert_gradcheck(fn, {"x": x, "w": w, "b": b, "gamma": gamma, "beta": beta})
+
+
+def test_grad_leaf_feeds_two_batchnorms():
+    rng = np.random.default_rng(44)
+    x = t64(rng.normal(size=(2, 4, 3)) * 2.0)
+    g1, b1 = t64(rng.uniform(0.5, 1.5, size=3)), t64(rng.normal(size=3))
+    g2, b2 = t64(rng.uniform(0.5, 1.5, size=3)), t64(rng.normal(size=3))
+
+    def fn():
+        tape = Tape()
+        trained = batchnorm1d(x, g1, b1, "train", BatchNormState.create(3, dtype=np.float64), tape)
+        running = BatchNormState(mean=np.full(3, 0.3), var=np.full(3, 2.0))
+        inferred = batchnorm1d(x, g2, b2, "infer", running, tape)
+        both = reshape(add(trained, inferred, tape), (2, 12), tape)
+        return mse_loss(both, Tensor(np.ones((2, 12))), tape), tape
+
+    assert_gradcheck(fn, {"x": x, "g1": g1, "b1": b1, "g2": g2, "b2": b2})
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
 
@@ -333,35 +430,40 @@ def make_param(value=1.0):
     return {"w": Tensor(np.full((3,), value), requires_grad=True)}
 
 
+def adam(params, grads, state, learning_rate=1e-3, weight_decay=0.0):
+    optimizer_step(params, grads, state, learning_rate=learning_rate, beta1=0.9,
+                   beta2=0.999, eps=1e-8, weight_decay=weight_decay)
+
+
 def test_optimizer_zero_grad_zero_decay_is_fixed_point():
     params = make_param()
     state = OptimizerState(params)
     before = params["w"].data.copy()
     for _ in range(5):
-        optimizer_step(params, {"w": np.zeros(3)}, state)
+        adam(params, {"w": np.zeros(3)}, state)
     np.testing.assert_array_equal(params["w"].data, before)
 
 
 def test_optimizer_descends_quadratic():
     params = {"w": Tensor(np.array([5.0, -3.0]), requires_grad=True)}
-    state = OptimizerState(params, learning_rate=0.1)
+    state = OptimizerState(params)
     for _ in range(200):
-        optimizer_step(params, {"w": params["w"].data.copy()}, state)  # grad of w^2/2
+        adam(params, {"w": params["w"].data.copy()}, state, learning_rate=0.1)  # grad of w^2/2
     assert np.all(np.abs(params["w"].data) < 0.5)
 
 
 def test_optimizer_first_step_is_signed_unit_step():
     # bias correction makes |update| ~ lr regardless of gradient scale
     params = make_param(0.0)
-    state = OptimizerState(params, learning_rate=1e-3)
-    optimizer_step(params, {"w": np.array([1e-4, 42.0, -7.0])}, state)
+    state = OptimizerState(params)
+    adam(params, {"w": np.array([1e-4, 42.0, -7.0])}, state, learning_rate=1e-3)
     np.testing.assert_allclose(params["w"].data, [-1e-3, -1e-3, 1e-3], rtol=1e-3)
 
 
 def test_optimizer_decoupled_decay_acts_without_gradient():
     params = make_param(2.0)
-    state = OptimizerState(params, learning_rate=0.01)
-    optimizer_step(params, {"w": np.zeros(3)}, state, weight_decay=0.1)
+    state = OptimizerState(params)
+    adam(params, {"w": np.zeros(3)}, state, learning_rate=0.01, weight_decay=0.1)
     np.testing.assert_allclose(params["w"].data, 2.0 * (1 - 0.01 * 0.1), rtol=1e-12)
 
 
@@ -369,7 +471,7 @@ def test_optimizer_missing_grad_counts_as_zero():
     params = make_param()
     state = OptimizerState(params)
     before = params["w"].data.copy()
-    optimizer_step(params, {}, state)
+    adam(params, {}, state)
     np.testing.assert_array_equal(params["w"].data, before)
 
 
@@ -377,10 +479,10 @@ def test_optimizer_bitwise_determinism():
     def run():
         rng = np.random.default_rng(11)
         params = {"w": Tensor(rng.normal(size=(4, 3)), requires_grad=True)}
-        state = OptimizerState(params, learning_rate=3e-3)
+        state = OptimizerState(params)
         for _ in range(100):
-            optimizer_step(params, {"w": rng.normal(size=(4, 3))}, state,
-                           weight_decay=1e-4)
+            adam(params, {"w": rng.normal(size=(4, 3))}, state, learning_rate=3e-3,
+                 weight_decay=1e-4)
         return params["w"].data
 
     a, b = run(), run()
@@ -392,7 +494,7 @@ def test_optimizer_rejects_non_finite_gradient():
     state = OptimizerState(params)
     g = np.array([1.0, np.nan, 0.0])
     with pytest.raises(TrainingDivergedError):
-        optimizer_step(params, {"w": g}, state)
+        adam(params, {"w": g}, state)
 
 
 def test_optimizer_rejects_unknown_parameter():
@@ -400,15 +502,15 @@ def test_optimizer_rejects_unknown_parameter():
     state = OptimizerState(params)
     params["extra"] = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(ConfigurationError):
-        optimizer_step(params, {}, state)
+        adam(params, {}, state)
 
 
 def test_optimizer_validates_hyperparameters():
+    # learning rate, betas and eps live in ModelConfig and are checked there
+    for bad in ({"learning_rate": 0.0}, {"beta1": 1.0}, {"adam_eps": 0.0}):
+        with pytest.raises(ConfigurationError):
+            ModelConfig(feature_dim=3, num_speakers=2, **bad).validate()
     params = make_param()
-    with pytest.raises(ConfigurationError):
-        OptimizerState(params, learning_rate=0.0)
-    with pytest.raises(ConfigurationError):
-        OptimizerState(params, beta1=1.0)
     state = OptimizerState(params)
     with pytest.raises(ConfigurationError):
-        optimizer_step(params, {}, state, weight_decay=-1.0)
+        adam(params, {}, state, weight_decay=-1.0)
