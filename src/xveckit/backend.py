@@ -6,6 +6,12 @@ score with either cosine similarity or a two-covariance PLDA model
 fit by EM; scoring is the closed-form log-likelihood ratio of the
 same-speaker against the different-speaker hypothesis.
 
+Scoring works per utterance, then per trial. Each utterance a trial list
+names is preprocessed and normalized once, and PLDA computes its
+quadratic form and its product with the cross matrix once; a trial is
+then a gather of its two rows and one dot product, so the cost is
+O(U d^2 + T d) for U utterances and T trials.
+
 LDA solves the generalized between/within eigenproblem by whitening the
 within-class scatter and taking the symmetric eigendecomposition
 (numpy.linalg.eigh, LAPACK); rows of the projection are sign-normalized
@@ -19,7 +25,7 @@ when PLDA was fit, and the dimensions are read off their shapes.
 Embedding archives ("XVEB") are framed here and check their magic and
 version through binio.Reader.header. Trial files are text lines
 "enroll_id test_id target|nontarget"; score files are
-"enroll_id test_id score" with six decimal places.
+"enroll_id test_id score" with six decimal places, one line per trial.
 """
 
 from __future__ import annotations
@@ -335,13 +341,17 @@ class _PldaScorer:
         self.cross = j_inv[:d, d:]
         self.const = -0.5 * (logdet_j - 2.0 * logdet_t)
 
-    def score(self, enroll: np.ndarray, test: np.ndarray) -> np.ndarray:
-        e = enroll - self.mean
-        t = test - self.mean
+    def score(self, x: np.ndarray, enroll: np.ndarray, test: np.ndarray) -> np.ndarray:
+        """Scores of the trials (x[enroll[i]], x[test[i]]): the quadratic
+        forms and the cross product's left factor once per row of x, then
+        one gather and one dot product per trial."""
+        xc = x - self.mean
+        q = np.sum((xc @ self.quad) * xc, axis=1)
+        a = xc @ self.cross
         return (self.const
-                - 0.5 * np.sum((e @ self.quad) * e, axis=1)
-                - 0.5 * np.sum((t @ self.quad) * t, axis=1)
-                - np.sum((e @ self.cross) * t, axis=1))
+                - 0.5 * q[enroll]
+                - 0.5 * q[test]
+                - np.sum(a[enroll] * xc[test], axis=1))
 
 
 def score_trials(trials: list[Trial], embeddings: dict[str, np.ndarray],
@@ -350,34 +360,37 @@ def score_trials(trials: list[Trial], embeddings: dict[str, np.ndarray],
                  length_norm: bool = True) -> ScoreSet:
     """Score trials against an id -> vector table.
 
-    The chain is preprocessor (if given), then length normalization,
-    then the scorer. Cosine scoring always normalizes, so its scores
-    are inner products of unit vectors; for PLDA the length_norm flag
-    controls the normalization stage. Unknown trial ids raise DataError
-    naming the trial.
+    Each utterance the trials name is processed once: the chain is
+    preprocessor (if given), then length normalization, then the
+    scorer's per-utterance terms. Each trial is then a gather of its two
+    rows and one dot product. Cosine scoring always normalizes, so its
+    scores are inner products of unit vectors; for PLDA the length_norm
+    flag controls the normalization stage. Unknown trial ids raise
+    DataError naming the first trial that uses one.
     """
     if not trials:
         raise DataError("empty trial list")
     if not (scorer == "cosine" or isinstance(scorer, PldaModel)):
         raise ConfigurationError(f"scorer must be 'cosine' or a PldaModel, got {scorer!r}")
-    for i, trial in enumerate(trials, start=1):
-        for utt in (trial.enroll_id, trial.test_id):
-            if utt not in embeddings:
-                raise DataError(f"trial {i}: no embedding for utterance '{utt}'")
-
     ids = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
+    if any(u not in embeddings for u in ids):
+        for i, trial in enumerate(trials, start=1):
+            for utt in (trial.enroll_id, trial.test_id):
+                if utt not in embeddings:
+                    raise DataError(f"trial {i}: no embedding for utterance '{utt}'")
+
     x = np.stack([np.asarray(embeddings[u], dtype=np.float64) for u in ids])
     if preprocessor is not None:
         x = preprocessor.apply(x)
     if scorer == "cosine" or length_norm:
         x = length_normalize(x)
     row = {u: i for i, u in enumerate(ids)}
-    enroll = x[[row[t.enroll_id] for t in trials]]
-    test = x[[row[t.test_id] for t in trials]]
+    enroll = np.fromiter((row[t.enroll_id] for t in trials), dtype=np.intp, count=len(trials))
+    test = np.fromiter((row[t.test_id] for t in trials), dtype=np.intp, count=len(trials))
     if scorer == "cosine":
-        scores = np.sum(enroll * test, axis=1)
+        scores = np.sum(x[enroll] * x[test], axis=1)
     else:
-        scores = _PldaScorer(scorer).score(enroll, test)
+        scores = _PldaScorer(scorer).score(x, enroll, test)
     return ScoreSet(trials=list(trials), scores=scores)
 
 
@@ -395,15 +408,14 @@ def read_trials(path: Path | str) -> list[Trial]:
     trials = []
     with binio.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'enroll test label', got {line!r}")
-            if parts[2] not in ("target", "nontarget"):
+            if len(parts) == 3 and parts[2] in ("target", "nontarget"):
+                trials.append(Trial(parts[0], parts[1], parts[2] == "target"))
+            elif len(parts) == 3:
                 raise DataError(f"{path}:{lineno}: label must be target|nontarget, got {parts[2]!r}")
-            trials.append(Trial(parts[0], parts[1], parts[2] == "target"))
+            elif parts:
+                raise DataError(f"{path}:{lineno}: expected 'enroll test label', "
+                                f"got {line.strip()!r}")
     if not trials:
         raise DataError(f"{path}: no trials")
     return trials
@@ -417,21 +429,25 @@ def write_trials(path: Path | str, trials: list[Trial]) -> None:
 
 def write_scores(path: Path | str, score_set: ScoreSet) -> None:
     with binio.atomic_write(path, "w") as fh:
-        for trial, score in zip(score_set.trials, score_set.scores):
-            fh.write(f"{trial.enroll_id} {trial.test_id} {score:.6f}\n")
+        fh.write("".join([f"{trial.enroll_id} {trial.test_id} {score:.6f}\n"
+                          for trial, score in zip(score_set.trials, score_set.scores.tolist())]))
 
 
 def read_scores(path: Path | str) -> dict[tuple[str, str], float]:
+    """Trial (enroll, test) -> score. A trial scored on two lines raises
+    DataError naming the second."""
     path = Path(path)
     scores: dict[tuple[str, str], float] = {}
+    lineno = blank = 0
     with binio.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
+            if not parts:
+                blank += 1
+                continue
             if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'enroll test score', got {line!r}")
+                raise DataError(f"{path}:{lineno}: expected 'enroll test score', "
+                                f"got {line.strip()!r}")
             try:
                 value = float(parts[2])
             except ValueError:
@@ -439,6 +455,16 @@ def read_scores(path: Path | str) -> dict[tuple[str, str], float]:
             scores[(parts[0], parts[1])] = value
     if not scores:
         raise DataError(f"{path}: no scores")
+    if len(scores) != lineno - blank:
+        seen: set[tuple[str, ...]] = set()
+        with binio.open_text(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                key = tuple(line.split()[:2])
+                if key in seen:
+                    raise DataError(f"{path}:{lineno}: a second score for trial "
+                                    f"{key[0]} {key[1]}")
+                if key:
+                    seen.add(key)
     return scores
 
 

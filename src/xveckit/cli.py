@@ -297,18 +297,23 @@ def _cmd_score(args) -> int:
     return 0
 
 
+def _evaluate(config: RunConfig, trials: list[bk.Trial], scores: Path | str) -> MetricsReport:
+    """Detection metrics of `trials` over the scores as the score file holds them."""
+    table = bk.read_scores(scores)
+    try:
+        values = [table[(t.enroll_id, t.test_id)] for t in trials]
+    except KeyError:
+        i, trial = next((i, t) for i, t in enumerate(trials, start=1)
+                        if (t.enroll_id, t.test_id) not in table)
+        raise DataError(f"trial {i} ({trial.enroll_id} {trial.test_id}) has no score "
+                        f"in {scores}") from None
+    score_set = bk.ScoreSet(trials, np.array(values))
+    return detection_metrics(*score_set.split(), _project(config, DcfParams))
+
+
 def _cmd_evaluate(args) -> int:
     config = _load_config(args)
-    trials = bk.read_trials(args.trials)
-    scores = bk.read_scores(args.scores)
-    values = []
-    for i, trial in enumerate(trials, start=1):
-        key = (trial.enroll_id, trial.test_id)
-        if key not in scores:
-            raise DataError(f"trial {i} ({key[0]} {key[1]}) has no score in {args.scores}")
-        values.append(scores[key])
-    score_set = bk.ScoreSet(trials, np.array(values))
-    report = detection_metrics(*score_set.split(), _project(config, DcfParams))
+    report = _evaluate(config, bk.read_trials(args.trials), args.scores)
     print(report.format_table())
     if args.out:
         _write_text(args.out, report.to_csv())
@@ -345,7 +350,9 @@ def _check_sweep(config: RunConfig, manifest: Manifest | None) -> None:
 
 
 def _run_system(config: RunConfig, manifest: Manifest, out: Path) -> MetricsReport:
-    """Train one system and evaluate it on held-out all-pairs trials."""
+    """Train one system and evaluate it on held-out all-pairs trials, from
+    the scores as scores.txt holds them, so metrics.csv is what `evaluate
+    --out` writes for the system's files."""
     train_part = _split_manifest(manifest, config, "train")
     held_part = _split_manifest(manifest, config, "heldout")
     model, _ = _train_system(config, train_part, out)
@@ -358,8 +365,8 @@ def _run_system(config: RunConfig, manifest: Manifest, out: Path) -> MetricsRepo
     if config.scorer == "plda":
         backend = out / "backend.xvbk"
         _fit_backend(config, *_extract_all(model, train_part, config), backend)
-    score_set = _score(config, trials, held_vecs, backend, out / "scores.txt")
-    report = detection_metrics(*score_set.split(), _project(config, DcfParams))
+    _score(config, trials, held_vecs, backend, out / "scores.txt")
+    report = _evaluate(config, trials, out / "scores.txt")
     _write_text(out / "metrics.csv", report.to_csv())
     return report
 

@@ -1,5 +1,7 @@
 """LDA preprocessing, PLDA, trial scoring, and the backend file formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -414,6 +416,84 @@ def test_score_trials_rejects_bad_scorer():
                      scorer="euclid")
 
 
+def _random_spd(rng, dim):
+    a = rng.standard_normal((dim, dim))
+    return a @ a.T + dim * np.eye(dim)
+
+
+def _reference_score(trial, table, pre, scorer, length_norm):
+    """One trial at a time, in the closed form: cosine is the inner product
+    of unit vectors; PLDA is const - e'Qe/2 - t'Qt/2 - e'Ct with
+    Q = J^-1[:d, :d] - T^-1, C = J^-1[:d, d:] and const = -(log|J| - 2 log|T|)/2,
+    T the total and J the joint same-speaker covariance."""
+    e, t = (np.asarray(table[u], dtype=np.float64) for u in (trial.enroll_id, trial.test_id))
+    if pre is not None:
+        e, t = pre.apply(e), pre.apply(t)
+    if scorer == "cosine" or length_norm:
+        e, t = e / np.linalg.norm(e), t / np.linalg.norm(t)
+    if scorer == "cosine":
+        return float(e @ t)
+    d = scorer.dim
+    total = scorer.between + scorer.within
+    joint = np.block([[total, scorer.between], [scorer.between, total]])
+    j_inv = np.linalg.inv(joint)
+    quad = j_inv[:d, :d] - np.linalg.inv(total)
+    cross = j_inv[:d, d:]
+    const = -0.5 * (np.linalg.slogdet(joint)[1] - 2.0 * np.linalg.slogdet(total)[1])
+    e, t = e - scorer.mean, t - scorer.mean
+    return float(const - 0.5 * e @ quad @ e - 0.5 * t @ quad @ t - e @ cross @ t)
+
+
+@pytest.mark.parametrize("use_pre", [False, True], ids=["raw", "lda"])
+@pytest.mark.parametrize("length_norm", [True, False], ids=["norm", "no-norm"])
+@pytest.mark.parametrize("kind", ["cosine", "plda"])
+def test_scoring_per_utterance_matches_per_trial_reference(kind, length_norm, use_pre):
+    # 20 utterances, 300 trials drawn with repeats and in no order; per-row
+    # terms computed once per utterance must give each trial the score it
+    # gets alone. The two differ only in summation order (the largest
+    # absolute difference seen is 3.6e-15 on scores up to 23), so the bound
+    # is 1e-10, relative and absolute.
+    rng = np.random.default_rng(7)
+    emb_dim, dim = 6, (4 if use_pre else 6)
+    table = {f"u{i:02d}": rng.standard_normal(emb_dim) * 2.0 + 0.5 for i in range(20)}
+    ids = list(table)
+    trials = [Trial(ids[a], ids[b], bool(rng.integers(2)))
+              for a, b in rng.integers(len(ids), size=(300, 2))]
+    pre = (Preprocessor(mean=rng.standard_normal(emb_dim),
+                        projection=rng.standard_normal((dim, emb_dim))) if use_pre else None)
+    scorer = ("cosine" if kind == "cosine" else
+              PldaModel(mean=rng.standard_normal(dim) * 0.1, between=_random_spd(rng, dim),
+                        within=_random_spd(rng, dim)))
+    scored = score_trials(trials, table, preprocessor=pre, scorer=scorer, length_norm=length_norm)
+    assert scored.trials == trials
+    want = [_reference_score(t, table, pre, scorer, length_norm) for t in trials]
+    np.testing.assert_allclose(scored.scores, want, rtol=1e-10, atol=1e-10)
+
+
+def test_plda_scoring_memory_is_a_few_trial_matrices():
+    # Peak memory of score_trials above its inputs, in units of one
+    # float64 [trials, dim] matrix (T*d*8 bytes; here T = 20,000, d = 32,
+    # from 400 utterances). Scoring each utterance once and then gathering
+    # per trial reads 2.17 (numpy writes the product into one of the two
+    # gathered temporaries; without that it would be about 3); gathering
+    # both vectors of every trial and centring them before the quadratic
+    # forms read 5.10.
+    rng = np.random.default_rng(3)
+    dim, n_trials = 32, 20_000
+    table = {f"u{i:03d}": rng.standard_normal(dim) for i in range(400)}
+    ids = list(table)
+    trials = [Trial(ids[a], ids[b], False) for a, b in rng.integers(len(ids), size=(n_trials, 2))]
+    plda = PldaModel(mean=np.zeros(dim), between=_random_spd(rng, dim),
+                     within=_random_spd(rng, dim))
+    tracemalloc.start()
+    try:
+        score_trials(trials, table, scorer=plda)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n_trials * dim * 8
+
+
 def test_all_pairs_trials():
     trials = all_pairs_trials({"u2": "s1", "u1": "s1", "u3": "s2"})
     assert [(t.enroll_id, t.test_id, t.target) for t in trials] == [
@@ -455,6 +535,20 @@ def test_scores_roundtrip(tmp_path):
     back = read_scores(tmp_path / "s.txt")
     assert back[("a", "b")] == pytest.approx(0.123457, abs=1e-9)  # six decimals kept
     assert back[("c", "d")] == -2.5
+
+
+def test_scores_reject_a_trial_scored_twice(tmp_path):
+    p = tmp_path / "s.txt"
+    p.write_text("a b 0.9\n\na c 0.1\na b -5.0\n")
+    with pytest.raises(DataError, match=r"s\.txt:4: a second score for trial a b"):
+        read_scores(p)
+
+
+def test_scores_and_trials_skip_blank_lines(tmp_path):
+    (tmp_path / "t.txt").write_text("\nu1 u2 target\n  \t\nu1 u3 nontarget\n\n")
+    assert read_trials(tmp_path / "t.txt") == [Trial("u1", "u2", True), Trial("u1", "u3", False)]
+    (tmp_path / "s.txt").write_text("\nu1 u2 0.5\n \nu1 u3 -1.25\n")
+    assert read_scores(tmp_path / "s.txt") == {("u1", "u2"): 0.5, ("u1", "u3"): -1.25}
 
 
 def test_backend_roundtrip_with_plda(tmp_path, plda_truth):

@@ -240,6 +240,16 @@ def test_evaluate_rejects_missing_scores(workspace, tmp_path):
     assert rc == 1
 
 
+def test_evaluate_rejects_a_trial_scored_twice(workspace, tmp_path, caplog):
+    _, cfg = workspace
+    (tmp_path / "trials.txt").write_text("a b target\na c nontarget\n")
+    (tmp_path / "scores.txt").write_text("a b 0.9\na c 0.1\na b -5.0\n")
+    rc = main(["evaluate", "--config", str(cfg), "--scores", str(tmp_path / "scores.txt"),
+               "--trials", str(tmp_path / "trials.txt")])
+    assert rc == 1
+    assert "scores.txt:3: a second score for trial a b" in caplog.text
+
+
 def test_unknown_flag_exits_with_usage_error(workspace):
     _, cfg = workspace
     assert main(["gen-data", "--config", str(cfg), "--frobnicate"]) == 1
@@ -391,6 +401,24 @@ def test_sweep_plda_scores_match_score_command(workspace, tmp_path):
                  "--backend", str(system / "backend.xvbk"), "--scorer", "plda",
                  "--out", str(rescored)]) == 0
     assert rescored.read_bytes() == (system / "scores.txt").read_bytes()
+
+
+@pytest.mark.parametrize("scorer", ["cosine", "plda"])
+def test_sweep_metrics_match_evaluate_on_its_files(workspace, tmp_path, scorer):
+    # the sweep's metrics come from the scores as written (six decimals),
+    # so evaluate on the system's own files writes the same metrics.csv
+    root, cfg = workspace
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--data", str(root / "corpus"),
+                 "--alphas", "0.3", "--orders", "4", "--scorer", scorer, "--out", str(out)]) == 0
+    system = out / "MT-o4-a3"
+    evaluated = tmp_path / "metrics.csv"
+    assert main(["evaluate", "--config", str(cfg), "--scores", str(system / "scores.txt"),
+                 "--trials", str(system / "trials.txt"), "--out", str(evaluated)]) == 0
+    assert evaluated.read_bytes() == (system / "metrics.csv").read_bytes()
+    metrics = dict(line.split(",") for line in evaluated.read_text().splitlines()[1:])
+    row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert row[1:] == [metrics["eer"], metrics["min_dcf"], metrics["act_dcf"]]
 
 
 # ---------------------------------------------------------------------------
