@@ -6,11 +6,14 @@ score with either cosine similarity or a two-covariance PLDA model
 fit by EM; scoring is the closed-form log-likelihood ratio of the
 same-speaker against the different-speaker hypothesis.
 
-Scoring works per utterance, then per trial. Each utterance a trial list
-names is preprocessed and normalized once, and PLDA computes its
-quadratic form and its product with the cross matrix once; a trial is
-then a gather of its two rows and one dot product, so the cost is
-O(U d^2 + T d) for U utterances and T trials.
+score_trials returns one float64 score per trial, in trial order: a PLDA
+log-likelihood ratio when given a PldaModel, a cosine similarity
+otherwise. It works per utterance, then per trial. Each utterance a
+trial list names is preprocessed and normalized once, and PLDA computes
+its quadratic form and its product with the cross matrix once; a trial
+is then a gather of its two rows and one dot product, so the cost is
+O(U d^2 + T d) for U utterances and T trials. A trial list that names
+one (enroll, test) pair twice is rejected.
 
 LDA solves the generalized between/within eigenproblem by whitening the
 within-class scatter and taking the symmetric eigendecomposition
@@ -46,7 +49,6 @@ __all__ = [
     "PldaModel",
     "fit_plda",
     "Trial",
-    "ScoreSet",
     "score_trials",
     "all_pairs_trials",
     "read_trials",
@@ -309,89 +311,71 @@ class Trial:
     target: bool
 
 
-@dataclass
-class ScoreSet:
-    trials: list[Trial]
-    scores: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.trials)
-
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
-        """(target scores, nontarget scores), each in trial order."""
-        mask = np.array([t.target for t in self.trials], dtype=bool)
-        return self.scores[mask], self.scores[~mask]
-
-
-class _PldaScorer:
-    """Closed-form same/different log-likelihood ratio, vectorized."""
-
-    def __init__(self, model: PldaModel):
-        d = model.dim
-        total = model.between + model.within
-        lam = _inv(total, "total covariance")
-        joint = np.block([[total, model.between], [model.between, total]])
-        j_inv = _inv(joint, "joint covariance")
-        sign_t, logdet_t = np.linalg.slogdet(total)
-        sign_j, logdet_j = np.linalg.slogdet(joint)
-        if sign_t <= 0 or sign_j <= 0:
-            raise DataError("PLDA covariances are not positive definite")
-        self.mean = model.mean
-        self.quad = j_inv[:d, :d] - lam
-        self.cross = j_inv[:d, d:]
-        self.const = -0.5 * (logdet_j - 2.0 * logdet_t)
-
-    def score(self, x: np.ndarray, enroll: np.ndarray, test: np.ndarray) -> np.ndarray:
-        """Scores of the trials (x[enroll[i]], x[test[i]]): the quadratic
-        forms and the cross product's left factor once per row of x, then
-        one gather and one dot product per trial."""
-        xc = x - self.mean
-        q = np.sum((xc @ self.quad) * xc, axis=1)
-        a = xc @ self.cross
-        return (self.const
-                - 0.5 * q[enroll]
-                - 0.5 * q[test]
-                - np.sum(a[enroll] * xc[test], axis=1))
+def _plda_scores(model: PldaModel, x: np.ndarray, enroll: np.ndarray,
+                 test: np.ndarray) -> np.ndarray:
+    """Closed-form same/different log-likelihood ratios of the trials
+    (x[enroll[i]], x[test[i]]): the quadratic forms and the cross
+    product's left factor once per row of x, then one gather and one dot
+    product per trial."""
+    d = model.dim
+    total = model.between + model.within
+    lam = _inv(total, "total covariance")
+    joint = np.block([[total, model.between], [model.between, total]])
+    j_inv = _inv(joint, "joint covariance")
+    sign_t, logdet_t = np.linalg.slogdet(total)
+    sign_j, logdet_j = np.linalg.slogdet(joint)
+    if sign_t <= 0 or sign_j <= 0:
+        raise DataError("PLDA covariances are not positive definite")
+    const = -0.5 * (logdet_j - 2.0 * logdet_t)
+    xc = x - model.mean
+    q = np.sum((xc @ (j_inv[:d, :d] - lam)) * xc, axis=1)
+    a = xc @ j_inv[:d, d:]
+    return const - 0.5 * q[enroll] - 0.5 * q[test] - np.sum(a[enroll] * xc[test], axis=1)
 
 
 def score_trials(trials: list[Trial], embeddings: dict[str, np.ndarray],
-                 preprocessor: Preprocessor | None = None,
-                 scorer: "str | PldaModel" = "cosine",
-                 length_norm: bool = True) -> ScoreSet:
-    """Score trials against an id -> vector table.
+                 preprocessor: Preprocessor | None = None, plda: PldaModel | None = None,
+                 length_norm: bool = True) -> np.ndarray:
+    """Score trials against an id -> vector table; float64, in trial order.
 
     Each utterance the trials name is processed once: the chain is
     preprocessor (if given), then length normalization, then the
     scorer's per-utterance terms. Each trial is then a gather of its two
-    rows and one dot product. Cosine scoring always normalizes, so its
-    scores are inner products of unit vectors; for PLDA the length_norm
-    flag controls the normalization stage. Unknown trial ids raise
-    DataError naming the first trial that uses one.
+    rows and one dot product. Without `plda` the scores are cosine
+    similarities, which always normalize; with it they are PLDA
+    log-likelihood ratios, and the length_norm flag controls the
+    normalization stage. Unknown trial ids, and a trial list naming one
+    (enroll, test) pair twice, raise DataError naming the first trial
+    at fault.
     """
     if not trials:
         raise DataError("empty trial list")
-    if not (scorer == "cosine" or isinstance(scorer, PldaModel)):
-        raise ConfigurationError(f"scorer must be 'cosine' or a PldaModel, got {scorer!r}")
     ids = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
     if any(u not in embeddings for u in ids):
         for i, trial in enumerate(trials, start=1):
             for utt in (trial.enroll_id, trial.test_id):
                 if utt not in embeddings:
                     raise DataError(f"trial {i}: no embedding for utterance '{utt}'")
+    row = {u: i for i, u in enumerate(ids)}
+    enroll = np.fromiter((row[t.enroll_id] for t in trials), dtype=np.intp, count=len(trials))
+    test = np.fromiter((row[t.test_id] for t in trials), dtype=np.intp, count=len(trials))
+    pairs = np.sort(enroll * len(ids) + test)
+    if (pairs[1:] == pairs[:-1]).any():
+        first: dict[tuple[str, str], int] = {}
+        for i, trial in enumerate(trials, start=1):
+            j = first.setdefault((trial.enroll_id, trial.test_id), i)
+            if j != i:
+                raise DataError(f"trial {i}: repeats trial {j} "
+                                f"({trial.enroll_id} {trial.test_id})")
 
     x = np.stack([np.asarray(embeddings[u], dtype=np.float64) for u in ids])
     if preprocessor is not None:
         x = preprocessor.apply(x)
-    if scorer == "cosine" or length_norm:
+    if plda is None or length_norm:
         x = length_normalize(x)
-    row = {u: i for i, u in enumerate(ids)}
-    enroll = np.fromiter((row[t.enroll_id] for t in trials), dtype=np.intp, count=len(trials))
-    test = np.fromiter((row[t.test_id] for t in trials), dtype=np.intp, count=len(trials))
-    if scorer == "cosine":
-        scores = np.sum(x[enroll] * x[test], axis=1)
-    else:
-        scores = _PldaScorer(scorer).score(x, enroll, test)
-    return ScoreSet(trials=list(trials), scores=scores)
+    if plda is None:
+        return np.sum(x[enroll] * x[test], axis=1)
+    return _plda_scores(plda, x, enroll, test)
 
 
 def all_pairs_trials(speaker_of: dict[str, str]) -> list[Trial]:
@@ -427,10 +411,10 @@ def write_trials(path: Path | str, trials: list[Trial]) -> None:
             fh.write(f"{t.enroll_id} {t.test_id} {'target' if t.target else 'nontarget'}\n")
 
 
-def write_scores(path: Path | str, score_set: ScoreSet) -> None:
+def write_scores(path: Path | str, trials: list[Trial], scores: np.ndarray) -> None:
     with binio.atomic_write(path, "w") as fh:
         fh.write("".join([f"{trial.enroll_id} {trial.test_id} {score:.6f}\n"
-                          for trial, score in zip(score_set.trials, score_set.scores.tolist())]))
+                          for trial, score in zip(trials, scores.tolist(), strict=True)]))
 
 
 def read_scores(path: Path | str) -> dict[tuple[str, str], float]:
@@ -438,12 +422,10 @@ def read_scores(path: Path | str) -> dict[tuple[str, str], float]:
     DataError naming the second."""
     path = Path(path)
     scores: dict[tuple[str, str], float] = {}
-    lineno = blank = 0
     with binio.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
-                blank += 1
                 continue
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected 'enroll test score', "
@@ -452,19 +434,12 @@ def read_scores(path: Path | str) -> dict[tuple[str, str], float]:
                 value = float(parts[2])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad score {parts[2]!r}") from None
-            scores[(parts[0], parts[1])] = value
+            key = (parts[0], parts[1])
+            if key in scores:
+                raise DataError(f"{path}:{lineno}: a second score for trial {key[0]} {key[1]}")
+            scores[key] = value
     if not scores:
         raise DataError(f"{path}: no scores")
-    if len(scores) != lineno - blank:
-        seen: set[tuple[str, ...]] = set()
-        with binio.open_text(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                key = tuple(line.split()[:2])
-                if key in seen:
-                    raise DataError(f"{path}:{lineno}: a second score for trial "
-                                    f"{key[0]} {key[1]}")
-                if key:
-                    seen.add(key)
     return scores
 
 

@@ -239,20 +239,15 @@ def _fit_backend(config: RunConfig, vectors: dict[str, np.ndarray],
 
 
 def _score(config: RunConfig, trials: list[bk.Trial], vectors: dict[str, np.ndarray],
-           backend: Path | str | None, out: Path | str) -> bk.ScoreSet:
+           backend: Path | str | None, out: Path | str) -> None:
     """Score trials with config.scorer, through `backend` if given; write `out`."""
-    pre = None
-    plda = None
-    length_norm = config.length_norm
-    if backend:
-        pre, plda, length_norm = bk.load_backend(backend)
+    pre, plda, length_norm = bk.load_backend(backend) if backend else (None, None, True)
     if config.scorer == "plda" and plda is None:
         raise ConfigurationError("plda scoring needs --backend with a fitted model")
-    score_set = bk.score_trials(trials, vectors, preprocessor=pre,
-                                scorer=plda if config.scorer == "plda" else "cosine",
-                                length_norm=length_norm)
-    bk.write_scores(out, score_set)
-    return score_set
+    scores = bk.score_trials(trials, vectors, preprocessor=pre,
+                             plda=plda if config.scorer == "plda" else None,
+                             length_norm=length_norm)
+    bk.write_scores(out, trials, scores)
 
 
 def _cmd_train(args) -> int:
@@ -292,23 +287,28 @@ def _cmd_score(args) -> int:
     config = _load_config(args)
     trials = bk.read_trials(args.trials)
     vectors, _ = bk.read_embeddings(args.embeddings)
-    score_set = _score(config, trials, vectors, args.backend, args.out)
-    print(f"scored {len(score_set)} trials ({config.scorer}) into {args.out}")
+    _score(config, trials, vectors, args.backend, args.out)
+    print(f"scored {len(trials)} trials ({config.scorer}) into {args.out}")
     return 0
 
 
 def _evaluate(config: RunConfig, trials: list[bk.Trial], scores: Path | str) -> MetricsReport:
     """Detection metrics of `trials` over the scores as the score file holds them."""
     table = bk.read_scores(scores)
+    size = len(table)
     try:
-        values = [table[(t.enroll_id, t.test_id)] for t in trials]
+        values = [table.pop((t.enroll_id, t.test_id)) for t in trials]
     except KeyError:
-        i, trial = next((i, t) for i, t in enumerate(trials, start=1)
-                        if (t.enroll_id, t.test_id) not in table)
-        raise DataError(f"trial {i} ({trial.enroll_id} {trial.test_id}) has no score "
-                        f"in {scores}") from None
-    score_set = bk.ScoreSet(trials, np.array(values))
-    return detection_metrics(*score_set.split(), _project(config, DcfParams))
+        # each trial before the failing one popped one score
+        keys = [(t.enroll_id, t.test_id) for t in trials[:size - len(table) + 1]]
+        i, pair = len(keys), " ".join(keys[-1])
+        if keys[-1] in keys[:-1]:
+            raise DataError(f"trial {i}: repeats trial {keys.index(keys[-1]) + 1} "
+                            f"({pair})") from None
+        raise DataError(f"trial {i} ({pair}) has no score in {scores}") from None
+    joined = np.array(values)
+    target = np.array([t.target for t in trials], dtype=bool)
+    return detection_metrics(joined[target], joined[~target], _project(config, DcfParams))
 
 
 def _cmd_evaluate(args) -> int:

@@ -19,7 +19,7 @@ fast path to 1e-12; it exists to check the fast path, not to be fast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,15 +76,8 @@ class MetricsReport:
         return header + "\n" + row
 
     def to_csv(self) -> str:
-        rows = [
-            ("eer", repr(self.eer)),
-            ("min_dcf", repr(self.min_dcf)),
-            ("act_dcf", repr(self.act_dcf)),
-            ("threshold_at_eer", repr(self.threshold_at_eer)),
-            ("num_target", str(self.num_target)),
-            ("num_nontarget", str(self.num_nontarget)),
-        ]
-        return "metric,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
+        return "metric,value\n" + "".join(f"{f.name},{getattr(self, f.name)!r}\n"
+                                           for f in fields(self))
 
 
 def _validated(target_scores, nontarget_scores) -> tuple[np.ndarray, np.ndarray]:

@@ -365,6 +365,14 @@ def _write_log(path: Path, rows: list[tuple]) -> None:
             fh.write(f"{epoch},{step_i},{lv!r},{cv!r},{mv!r}\n")
 
 
+def _loss(model: Model, batch: Batch, tape: Tape) -> LossParts:
+    """The training objective of one batch, recorded on `tape`."""
+    result = forward(model, batch.features, "train", tape)
+    targets = Tensor(batch.targets) if batch.targets is not None else None
+    return multitask_loss(result.logits, batch.labels, result.reconstruction,
+                          targets, model.config.task_weight, tape)
+
+
 def _train_step(model: Model, batch: Batch) -> tuple[float, float, float]:
     """One optimizer update on one batch; returns the (total, ce, mse) loss.
 
@@ -373,10 +381,7 @@ def _train_step(model: Model, batch: Batch) -> tuple[float, float, float]:
     """
     cfg = model.config
     tape = Tape()
-    result = forward(model, batch.features, "train", tape)
-    targets = Tensor(batch.targets) if batch.targets is not None else None
-    parts = multitask_loss(result.logits, batch.labels, result.reconstruction,
-                           targets, cfg.task_weight, tape)
+    parts = _loss(model, batch, tape)
     losses = float(parts.total.data), float(parts.ce.data), float(parts.mse.data)
     if not math.isfinite(losses[0]):
         raise TrainingDivergedError(f"non-finite loss at epoch {model.trained_epochs + 1}, "
@@ -588,18 +593,18 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
     checks: list[tuple[str, GradCheckReport]] = []
     rng = np.random.default_rng(1234)
 
-    def check(name: str, fn, wrt) -> None:
+    def check(name: str, loss_of_tape, wrt) -> None:
+        """Check the gradient of the scalar loss that loss_of_tape records on a tape."""
+        def fn():
+            tape = Tape()
+            return loss_of_tape(tape), tape
+
         checks.append((name, grad_check(fn, wrt, tolerance=tolerance, step=step)))
 
     def check_op(name: str, op, wrt: dict[str, Tensor], target: np.ndarray) -> None:
         """Check the MSE of op(tape), reshaped to target's shape, against target."""
         tgt = Tensor(target)
-
-        def fn():
-            tape = Tape()
-            return mse_loss(reshape(op(tape), tgt.shape, tape), tgt, tape), tape
-
-        check(name, fn, wrt)
+        check(name, lambda tape: mse_loss(reshape(op(tape), tgt.shape, tape), tgt, tape), wrt)
 
     # Each check's inputs and target are drawn in one fixed order, which
     # pins the printed errors; draw new inputs after the existing ones.
@@ -658,52 +663,30 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
     # cross entropy straight off a leaf
     xl = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     labels = np.array([0, 3, 1, 2, 3])
-
-    def fn_ce():
-        tape = Tape()
-        return softmax_cross_entropy(xl, labels, tape), tape
-
-    check("softmax_cross_entropy", fn_ce, {"logits": xl})
+    check("softmax_cross_entropy", lambda tape: softmax_cross_entropy(xl, labels, tape),
+          {"logits": xl})
 
     # mse on a leaf
     xm = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     tgt_m = Tensor(rng.normal(size=(3, 6)))
-
-    def fn_mse():
-        tape = Tape()
-        return mse_loss(xm, tgt_m, tape), tape
-
-    check("mse_loss", fn_mse, {"pred": xm})
+    check("mse_loss", lambda tape: mse_loss(xm, tgt_m, tape), {"pred": xm})
 
     # reshape + scale + add glue
     xg = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     tgt_g1 = Tensor(rng.normal(size=(3, 4)))
     tgt_g2 = Tensor(rng.normal(size=(2, 6)))
+    check("reshape+scale+add",
+          lambda tape: add(scale(mse_loss(reshape(xg, (3, 4), tape), tgt_g1, tape), 0.3, tape),
+                           scale(mse_loss(xg, tgt_g2, tape), 0.7, tape), tape),
+          {"input": xg})
 
-    def fn_glue():
-        tape = Tape()
-        a = mse_loss(reshape(xg, (3, 4), tape), tgt_g1, tape)
-        c = mse_loss(xg, tgt_g2, tape)
-        return add(scale(a, 0.3, tape), scale(c, 0.7, tape), tape), tape
-
-    check("reshape+scale+add", fn_glue, {"input": xg})
-
-    # full miniature network at three task weights
+    # full miniature network at three task weights, on the loss training minimizes
     net_rng = np.random.default_rng(99)
-    mini_batch = np.asarray(net_rng.normal(size=(4, 20, 6)), dtype=np.float64)
-    mini_labels = np.array([0, 2, 4, 1])
-    mini_targets = hos_vector(mini_batch, 4)
+    mini_features = np.asarray(net_rng.normal(size=(4, 20, 6)), dtype=np.float64)
+    mini_batch = Batch(features=mini_features, labels=np.array([0, 2, 4, 1]),
+                       targets=hos_vector(mini_features, 4))
     for alpha in (0.0, 0.3, 1.0):
         mini = build_model(replace(MINIATURE_CONFIG, task_weight=alpha), dtype=np.float64)
-        batch_t = Tensor(mini_batch)
-        targets_t = Tensor(mini_targets)
-
-        def fn_net(m=mini, a=alpha):
-            tape = Tape()
-            result = forward(m, batch_t, "train", tape)
-            parts = multitask_loss(result.logits, mini_labels, result.reconstruction,
-                                   targets_t, a, tape)
-            return parts.total, tape
-
-        check(f"network.alpha={alpha:g}", fn_net, mini.params)
+        check(f"network.alpha={alpha:g}", lambda tape, m=mini: _loss(m, mini_batch, tape).total,
+              mini.params)
     return checks

@@ -9,7 +9,6 @@ from xveckit import backend, binio
 from xveckit.backend import (
     PldaModel,
     Preprocessor,
-    ScoreSet,
     Trial,
     all_pairs_trials,
     fit_plda,
@@ -318,7 +317,7 @@ def test_plda_llr_matches_brute_force(plda_truth):
         ll_same = gaussian_logpdf(np.concatenate([e, t]), np.tile(mean, 2), joint)
         ll_diff = gaussian_logpdf(e, mean, total) + gaussian_logpdf(t, mean, total)
         got = score_trials([Trial("e", "t", True)], {"e": e, "t": t},
-                           scorer=model, length_norm=False).scores[0]
+                           plda=model, length_norm=False)[0]
         assert got == pytest.approx(ll_same - ll_diff, abs=1e-10)
 
 
@@ -328,9 +327,9 @@ def test_plda_llr_is_symmetric(plda_truth):
     rng = np.random.default_rng(4)
     e, t = rng.normal(size=3), rng.normal(size=3)
     ab = score_trials([Trial("a", "b", False)], {"a": e, "b": t},
-                      scorer=model, length_norm=False).scores[0]
+                      plda=model, length_norm=False)[0]
     ba = score_trials([Trial("b", "a", False)], {"a": e, "b": t},
-                      scorer=model, length_norm=False).scores[0]
+                      plda=model, length_norm=False)[0]
     assert ab == pytest.approx(ba, abs=1e-10)
 
 
@@ -346,9 +345,9 @@ def test_plda_fit_is_affine_equivariant(plda_truth):
 
     trials = [Trial("u0", "u1", True), Trial("u0", "u2", False), Trial("u1", "u2", False)]
     plain = score_trials(trials, {f"u{i}": sub[i] for i in range(3)},
-                         scorer=fit_plda(sub, sublabs, 10), length_norm=False).scores
+                         plda=fit_plda(sub, sublabs, 10), length_norm=False)
     moved = score_trials(trials, {f"u{i}": mapped[i] for i in range(3)},
-                         scorer=fit_plda(mapped, sublabs, 10), length_norm=False).scores
+                         plda=fit_plda(mapped, sublabs, 10), length_norm=False)
     np.testing.assert_allclose(moved, plain, atol=1e-6)
 
 
@@ -359,9 +358,10 @@ def test_plda_separates_speakers(plda_truth):
     fresh, fresh_labs = sample_classes(rng, mean, between, within, 30, 2)
     table = {f"u{i}": fresh[i] for i in range(len(fresh))}
     speaker_of = {f"u{i}": fresh_labs[i] for i in range(len(fresh))}
-    scored = score_trials(all_pairs_trials(speaker_of), table,
-                          scorer=model, length_norm=False)
-    tg, nt = scored.split()
+    trials = all_pairs_trials(speaker_of)
+    scores = score_trials(trials, table, plda=model, length_norm=False)
+    target = np.array([t.target for t in trials])
+    tg, nt = scores[target], scores[~target]
     auc = (np.mean(tg[:, None] > nt[None, :])
            + 0.5 * np.mean(tg[:, None] == nt[None, :]))
     assert auc > 0.95
@@ -390,8 +390,7 @@ def test_cosine_scores_are_inner_products_of_unit_vectors():
     table = {"a": np.array([2.0, 0.0]), "b": np.array([5.0, 0.0]),
              "c": np.array([0.0, 0.1])}
     trials = [Trial("a", "b", True), Trial("a", "c", False)]
-    scored = score_trials(trials, table, scorer="cosine")
-    np.testing.assert_allclose(scored.scores, [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(score_trials(trials, table), [1.0, 0.0], atol=1e-12)
 
 
 def test_score_trials_applies_preprocessor():
@@ -399,9 +398,9 @@ def test_score_trials_applies_preprocessor():
                        projection=np.array([[1.0, 0.0]]))  # keep coordinate 0
     table = {"a": np.array([3.0, 9.0]), "b": np.array([2.0, -4.0]),
              "c": np.array([0.0, 7.0])}
-    scored = score_trials([Trial("a", "b", True), Trial("a", "c", False)],
-                          table, preprocessor=pre, scorer="cosine")
-    np.testing.assert_allclose(scored.scores, [1.0, -1.0], atol=1e-12)  # signs of coord 0
+    scores = score_trials([Trial("a", "b", True), Trial("a", "c", False)],
+                          table, preprocessor=pre)
+    np.testing.assert_allclose(scores, [1.0, -1.0], atol=1e-12)  # signs of coord 0
 
 
 def test_score_trials_unknown_id():
@@ -410,10 +409,14 @@ def test_score_trials_unknown_id():
                      {"a": np.ones(2), "b": np.ones(2)})
 
 
-def test_score_trials_rejects_bad_scorer():
-    with pytest.raises(ConfigurationError):
-        score_trials([Trial("a", "b", True)], {"a": np.ones(2), "b": np.ones(2)},
-                     scorer="euclid")
+def test_score_trials_rejects_a_repeated_trial():
+    # the same (enroll, test) pair twice, the second time with the other label
+    table = {f"u{i}": np.eye(4)[i] + 0.1 for i in range(4)}
+    trials = [Trial("u0", "u1", True), Trial("u0", "u2", False), Trial("u1", "u0", True),
+              Trial("u2", "u3", True), Trial("u0", "u1", False)]
+    with pytest.raises(DataError, match=r"trial 5: repeats trial 1 \(u0 u1\)"):
+        score_trials(trials, table)
+    assert score_trials(trials[:4], table).shape == (4,)  # (u1, u0) is another trial
 
 
 def _random_spd(rng, dim):
@@ -421,26 +424,26 @@ def _random_spd(rng, dim):
     return a @ a.T + dim * np.eye(dim)
 
 
-def _reference_score(trial, table, pre, scorer, length_norm):
-    """One trial at a time, in the closed form: cosine is the inner product
-    of unit vectors; PLDA is const - e'Qe/2 - t'Qt/2 - e'Ct with
+def _reference_score(trial, table, pre, plda, length_norm):
+    """One trial at a time, in the closed form: cosine (plda None) is the
+    inner product of unit vectors; PLDA is const - e'Qe/2 - t'Qt/2 - e'Ct with
     Q = J^-1[:d, :d] - T^-1, C = J^-1[:d, d:] and const = -(log|J| - 2 log|T|)/2,
     T the total and J the joint same-speaker covariance."""
     e, t = (np.asarray(table[u], dtype=np.float64) for u in (trial.enroll_id, trial.test_id))
     if pre is not None:
         e, t = pre.apply(e), pre.apply(t)
-    if scorer == "cosine" or length_norm:
+    if plda is None or length_norm:
         e, t = e / np.linalg.norm(e), t / np.linalg.norm(t)
-    if scorer == "cosine":
+    if plda is None:
         return float(e @ t)
-    d = scorer.dim
-    total = scorer.between + scorer.within
-    joint = np.block([[total, scorer.between], [scorer.between, total]])
+    d = plda.dim
+    total = plda.between + plda.within
+    joint = np.block([[total, plda.between], [plda.between, total]])
     j_inv = np.linalg.inv(joint)
     quad = j_inv[:d, :d] - np.linalg.inv(total)
     cross = j_inv[:d, d:]
     const = -0.5 * (np.linalg.slogdet(joint)[1] - 2.0 * np.linalg.slogdet(total)[1])
-    e, t = e - scorer.mean, t - scorer.mean
+    e, t = e - plda.mean, t - plda.mean
     return float(const - 0.5 * e @ quad @ e - 0.5 * t @ quad @ t - e @ cross @ t)
 
 
@@ -448,33 +451,33 @@ def _reference_score(trial, table, pre, scorer, length_norm):
 @pytest.mark.parametrize("length_norm", [True, False], ids=["norm", "no-norm"])
 @pytest.mark.parametrize("kind", ["cosine", "plda"])
 def test_scoring_per_utterance_matches_per_trial_reference(kind, length_norm, use_pre):
-    # 20 utterances, 300 trials drawn with repeats and in no order; per-row
-    # terms computed once per utterance must give each trial the score it
-    # gets alone. The two differ only in summation order (the largest
-    # absolute difference seen is 3.6e-15 on scores up to 23), so the bound
-    # is 1e-10, relative and absolute.
+    # 20 utterances, 300 distinct (enroll, test) pairs drawn in no order, so
+    # each utterance is in many trials; per-row terms computed once per
+    # utterance must give each trial the score it gets alone. The two differ
+    # only in summation order (the largest absolute difference seen is
+    # 3.6e-15 on scores up to 18), so the bound is 1e-10, relative and absolute.
     rng = np.random.default_rng(7)
     emb_dim, dim = 6, (4 if use_pre else 6)
     table = {f"u{i:02d}": rng.standard_normal(emb_dim) * 2.0 + 0.5 for i in range(20)}
     ids = list(table)
-    trials = [Trial(ids[a], ids[b], bool(rng.integers(2)))
-              for a, b in rng.integers(len(ids), size=(300, 2))]
+    trials = [Trial(ids[pair // 20], ids[pair % 20], bool(rng.integers(2)))
+              for pair in rng.choice(20 * 20, size=300, replace=False)]
     pre = (Preprocessor(mean=rng.standard_normal(emb_dim),
                         projection=rng.standard_normal((dim, emb_dim))) if use_pre else None)
-    scorer = ("cosine" if kind == "cosine" else
-              PldaModel(mean=rng.standard_normal(dim) * 0.1, between=_random_spd(rng, dim),
-                        within=_random_spd(rng, dim)))
-    scored = score_trials(trials, table, preprocessor=pre, scorer=scorer, length_norm=length_norm)
-    assert scored.trials == trials
-    want = [_reference_score(t, table, pre, scorer, length_norm) for t in trials]
-    np.testing.assert_allclose(scored.scores, want, rtol=1e-10, atol=1e-10)
+    plda = (None if kind == "cosine" else
+            PldaModel(mean=rng.standard_normal(dim) * 0.1, between=_random_spd(rng, dim),
+                      within=_random_spd(rng, dim)))
+    scores = score_trials(trials, table, preprocessor=pre, plda=plda, length_norm=length_norm)
+    assert scores.dtype == np.float64 and scores.shape == (len(trials),)
+    want = [_reference_score(t, table, pre, plda, length_norm) for t in trials]
+    np.testing.assert_allclose(scores, want, rtol=1e-10, atol=1e-10)
 
 
 def test_plda_scoring_memory_is_a_few_trial_matrices():
     # Peak memory of score_trials above its inputs, in units of one
     # float64 [trials, dim] matrix (T*d*8 bytes; here T = 20,000, d = 32,
     # from 400 utterances). Scoring each utterance once and then gathering
-    # per trial reads 2.17 (numpy writes the product into one of the two
+    # per trial reads 2.21 (numpy writes the product into one of the two
     # gathered temporaries; without that it would be about 3); gathering
     # both vectors of every trial and centring them before the quadratic
     # forms read 5.10.
@@ -482,12 +485,13 @@ def test_plda_scoring_memory_is_a_few_trial_matrices():
     dim, n_trials = 32, 20_000
     table = {f"u{i:03d}": rng.standard_normal(dim) for i in range(400)}
     ids = list(table)
-    trials = [Trial(ids[a], ids[b], False) for a, b in rng.integers(len(ids), size=(n_trials, 2))]
+    trials = [Trial(ids[pair // 400], ids[pair % 400], False)
+              for pair in rng.choice(400 * 400, size=n_trials, replace=False)]
     plda = PldaModel(mean=np.zeros(dim), between=_random_spd(rng, dim),
                      within=_random_spd(rng, dim))
     tracemalloc.start()
     try:
-        score_trials(trials, table, scorer=plda)
+        score_trials(trials, table, plda=plda)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -498,14 +502,6 @@ def test_all_pairs_trials():
     trials = all_pairs_trials({"u2": "s1", "u1": "s1", "u3": "s2"})
     assert [(t.enroll_id, t.test_id, t.target) for t in trials] == [
         ("u1", "u2", True), ("u1", "u3", False), ("u2", "u3", False)]
-
-
-def test_score_set_partitions():
-    ss = ScoreSet([Trial("a", "b", True), Trial("a", "c", False)],
-                  np.array([0.9, 0.1]))
-    target, nontarget = ss.split()
-    np.testing.assert_array_equal(target, [0.9])
-    np.testing.assert_array_equal(nontarget, [0.1])
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +525,8 @@ def test_trials_reject_malformed(tmp_path):
 
 
 def test_scores_roundtrip(tmp_path):
-    ss = ScoreSet([Trial("a", "b", True), Trial("c", "d", False)],
-                  np.array([0.123456789, -2.5]))
-    write_scores(tmp_path / "s.txt", ss)
+    trials = [Trial("a", "b", True), Trial("c", "d", False)]
+    write_scores(tmp_path / "s.txt", trials, np.array([0.123456789, -2.5]))
     back = read_scores(tmp_path / "s.txt")
     assert back[("a", "b")] == pytest.approx(0.123457, abs=1e-9)  # six decimals kept
     assert back[("c", "d")] == -2.5

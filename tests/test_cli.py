@@ -250,6 +250,45 @@ def test_evaluate_rejects_a_trial_scored_twice(workspace, tmp_path, caplog):
     assert "scores.txt:3: a second score for trial a b" in caplog.text
 
 
+REPEATED_TRIAL = "u0 u1 target\nu0 u2 nontarget\nu0 u1 {label}\nu2 u3 target\nu1 u3 nontarget\n"
+
+
+@pytest.mark.parametrize("label", ["target", "nontarget"])
+def test_score_rejects_a_trial_list_that_repeats_a_trial(workspace, tmp_path, caplog, label):
+    _, cfg = workspace
+    rng = np.random.default_rng(0)
+    write_embeddings(tmp_path / "e.xveb", {f"u{i}": rng.standard_normal(4) for i in range(4)},
+                     {f"u{i}": f"s{i // 2}" for i in range(4)})
+    (tmp_path / "trials.txt").write_text(REPEATED_TRIAL.format(label=label))
+    rc = main(["score", "--config", str(cfg), "--trials", str(tmp_path / "trials.txt"),
+               "--embeddings", str(tmp_path / "e.xveb"), "--out", str(tmp_path / "s.txt")])
+    assert rc == 1
+    assert "trial 3: repeats trial 1 (u0 u1)" in caplog.text
+    assert not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.parametrize("label", ["target", "nontarget"])
+def test_evaluate_rejects_a_trial_list_that_repeats_a_trial(workspace, tmp_path, caplog, label):
+    # the score file holds each pair once, so only the trial list is at fault
+    _, cfg = workspace
+    (tmp_path / "trials.txt").write_text(REPEATED_TRIAL.format(label=label))
+    (tmp_path / "s.txt").write_text("u0 u1 0.9\nu0 u2 0.1\nu2 u3 0.8\nu1 u3 0.2\n")
+    rc = main(["evaluate", "--config", str(cfg), "--scores", str(tmp_path / "s.txt"),
+               "--trials", str(tmp_path / "trials.txt")])
+    assert rc == 1
+    assert "trial 3: repeats trial 1 (u0 u1)" in caplog.text
+
+
+def test_evaluate_names_the_first_trial_without_a_score(workspace, tmp_path, caplog):
+    _, cfg = workspace
+    (tmp_path / "trials.txt").write_text("u0 u1 target\nu0 u2 nontarget\nu0 u3 target\n")
+    (tmp_path / "s.txt").write_text("u0 u2 0.1\nu0 u1 0.9\n")
+    rc = main(["evaluate", "--config", str(cfg), "--scores", str(tmp_path / "s.txt"),
+               "--trials", str(tmp_path / "trials.txt")])
+    assert rc == 1
+    assert "trial 3 (u0 u3) has no score in" in caplog.text
+
+
 def test_unknown_flag_exits_with_usage_error(workspace):
     _, cfg = workspace
     assert main(["gen-data", "--config", str(cfg), "--frobnicate"]) == 1

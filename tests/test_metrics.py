@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from xveckit.backend import ScoreSet, Trial
 from xveckit.errors import ConfigurationError, DataError
 from xveckit.metrics import DcfParams, MetricsReport, detection_metrics, metrics_oracle
 
@@ -119,14 +118,6 @@ def test_threshold_at_eer_balances_rates():
 def test_counts_reported():
     report = detection_metrics([1.0, 2.0], [0.0, 0.1, 0.2])
     assert report.num_target == 2 and report.num_nontarget == 3
-
-
-def test_accepts_score_set():
-    ss = ScoreSet([Trial("a", "b", True), Trial("a", "c", False)],
-                  np.array([0.9, -0.3]))
-    report = detection_metrics(*ss.split())
-    assert report.num_target == 1 and report.num_nontarget == 1
-    assert report.eer == metrics_oracle(*ss.split()).eer
 
 
 def test_input_validation():

@@ -1,7 +1,7 @@
 """Source hygiene of src/xveckit: no dead imports, no unreferenced private
-helpers, no package import deferred into a function. Deleting code tends
-to leave the first two behind; this reads every module with ast, so it
-runs nothing of the package.
+helpers, no undefined name in __all__, no package import deferred into a
+function. Deleting code tends to leave the first three behind; this reads
+every module with ast, so it runs nothing of the package.
 """
 
 import ast
@@ -52,6 +52,23 @@ def test_no_unused_imports(module):
     tree = MODULES[module]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported(tree) - used - _exported(tree)) == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_exported_names_are_defined(module):
+    # a name left in __all__ after its definition goes breaks only
+    # `from module import *`, which nothing else runs
+    tree = MODULES[module]
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined |= _imported(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert sorted(_exported(tree) - defined) == []
 
 
 def test_private_helpers_are_referenced():
