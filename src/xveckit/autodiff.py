@@ -3,20 +3,23 @@
 The engine is deliberately small: a Tensor wrapping an ndarray, a Tape
 recording executed primitives in order, and exactly the operations the
 embedding network needs: dilated 1-d convolution over [N, T, C] frames
-and dense layers, both with an optional built-in relu; batch
-normalization over [N, F] or [N, T, F]; the two losses; and a handful of
-glue ops. Statistics pooling lives in stats.py. Backward runs the tape
-once in reverse; every op's backward closure accumulates into the
-gradients of its inputs.
+with an optional built-in relu and batch norm, and dense layers with an
+optional built-in relu; batch normalization over [N, F] or [N, T, F];
+the two losses; and a handful of glue ops. Statistics pooling lives in
+stats.py. Backward runs the tape once in reverse; every op's backward
+closure accumulates into the gradients of its inputs.
 
 Ownership: a tape is single-use, so a backward closure may overwrite
 two kinds of array and no others. One is the gradient it is handed,
 which belongs to its output tensor alone (see _accumulate). The other
 is any array it saved during forward that no caller can see, such as
-an im2col buffer or a centred copy of the input. Inputs, forward
-outputs and parameters are never written. So after backward a leaf's
-.grad is its gradient, while an intermediate tensor's .grad is not
-defined.
+an im2col buffer or a centred copy of the input. A convolution with a
+built-in batch norm owns its matmul output, so it centres that in place
+as its saved copy. Inputs, forward outputs and parameters are never
+written. Backward releases each tape entry, its closure and the saved
+arrays with it, as soon as the closure has run, and drops the output's
+spent gradient. So after backward a leaf's .grad is its gradient, while
+an intermediate tensor holds no .grad.
 
 Ops are pure functions of their explicit inputs plus the tape. Passing
 tape=None runs forward only, which is the inference path.
@@ -146,7 +149,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse-accumulate d(loss)/d(x) for every tensor touched by the tape.
 
     Seeds d(loss)/d(loss) = 1 and walks the tape in reverse. Tensors on
-    the tape that do not feed the loss receive zero gradients. Raises
+    the tape that do not feed the loss receive zero gradients. Each entry
+    leaves the tape as soon as its closure has run, and its output drops
+    the spent gradient, so an op's saved buffers are freed before the ops
+    below it allocate theirs. Afterwards the tape is empty and no
+    intermediate tensor holds a .grad; leaves keep theirs. Raises
     UsageError for a non-scalar loss, a loss foreign to this tape, or a
     tape that was already consumed.
     """
@@ -158,28 +165,38 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise UsageError("loss was not produced by an op recorded on this tape")
     tape.consumed = True
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    for out, backward_fn in reversed(tape._entries):
+    entries = tape._entries
+    while entries:
+        # Rebinding out and backward_fn drops the previous entry, the last
+        # reference to its closure and the arrays that closure saved.
+        out, backward_fn = entries.pop()
         if out.grad is None:
             out.grad = np.zeros_like(out.data)
         backward_fn(out.grad)
-    # Break the tensor <-> tape reference cycles so the graph's arrays are
-    # freed by refcount right away; cyclic garbage holding tens of MB per
-    # step otherwise outruns the collector on long training runs.
-    for out, _ in tape._entries:
+        out.grad = None
+        # Break the tensor <-> tape reference cycle so the graph's arrays
+        # are freed by refcount right away; cyclic garbage holding tens of
+        # MB per step otherwise outruns the collector on long runs.
         out._tape = None
-    tape._entries.clear()
 
 
 def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
-                   tape: Tape | None = None, activation: str = "none") -> Tensor:
+                   tape: Tape | None = None, activation: str = "none",
+                   norm: tuple[Tensor, Tensor, str, BatchNormState] | None = None) -> Tensor:
     """Valid cross-correlation along time with a dilated kernel, with an
-    optional built-in relu.
+    optional built-in relu and batch norm.
 
     inp is [N, T, C_in]; weight is [C_out, C_in, k]; bias is [C_out]. No
     padding: the output keeps T - (k-1)*dilation frames. Kernel taps are
     applied in index order (no flip). The relu runs in place on the matmul
-    output, and its backward masks the incoming gradient in place by the
-    positive outputs.
+    output; with a tape, its mask is taken there too, and backward masks
+    the incoming gradient in place by it.
+
+    norm=(gamma, beta, mode, running) then normalizes the output over its
+    N * T_out frames with batchnorm1d's arithmetic. The op owns its matmul
+    output, so normalization centres it in place: with a tape that is the
+    centred copy backward needs, and only the output is a new array;
+    without one the output is the matmul buffer itself.
     """
     if not isinstance(dilation, int) or dilation < 1:
         raise ConfigurationError(f"dilation must be a positive integer, got {dilation!r}")
@@ -211,15 +228,23 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
     w_flat = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
     y = cols_flat @ w_flat.T
     y += bias.data
+    mask = None
     if activation == "relu":
         np.maximum(y, 0, out=y)
+        if tape is not None:
+            mask = y > 0
+    if norm is not None:
+        gamma, beta, mode, running = norm
+        y, xc, inv = _bn_forward(y, gamma, beta, mode, running, owned=True, keep=tape is not None)
     out = Tensor(y.reshape(n, t_out, c_out))
 
     if tape is not None:
         def bwd(g: np.ndarray) -> None:
             g_flat = g.reshape(n * t_out, c_out)
-            if activation == "relu":
-                np.multiply(g_flat, y > 0, out=g_flat)
+            if norm is not None:
+                g_flat = _bn_backward(g_flat, xc, inv, gamma, beta, mode)
+            if mask is not None:
+                np.multiply(g_flat, mask, out=g_flat)
             _accumulate(bias, g_flat.sum(axis=0))
             if _wants_grad(weight):
                 gw = (g_flat.T @ cols_flat).reshape(c_out, k, c_in).transpose(0, 2, 1)
@@ -229,10 +254,14 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
                     # cols_flat is the caller's input here: never write it.
                     gx = (g_flat @ w_flat).reshape(n, t, c_in)
                 else:
-                    # The im2col buffer is spent once gw is formed.
+                    # The im2col buffer is spent once gw is formed. col2im:
+                    # the first tap fills its frames, the tail is zeroed,
+                    # and the other taps add in index order.
                     g_cols = np.matmul(g_flat, w_flat, out=cols_flat).reshape(n, t_out, k, c_in)
-                    gx = np.zeros_like(x)
-                    for j in range(k):
+                    gx = np.empty_like(x)
+                    gx[:, :t_out, :] = g_cols[:, :, 0, :]
+                    gx[:, t_out:, :] = 0
+                    for j in range(1, k):
                         gx[:, j * dilation: j * dilation + t_out, :] += g_cols[:, :, j, :]
                 _accumulate(inp, gx, fresh=True)
         tape.record(out, bwd)
@@ -336,6 +365,71 @@ class BatchNormState:
                    var=np.ones(num_features, dtype=dtype))
 
 
+def _bn_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, mode: str,
+                running: BatchNormState, owned: bool,
+                keep: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize the [rows, F] array x per feature; returns (y, xc, inv).
+
+    owned: x belongs to the caller's op alone, so it is centred in place.
+    keep: backward will read the centred copy xc, so y is a new array;
+    otherwise y is xc, scaled and shifted in place.
+    """
+    rows, f = x.shape
+    if mode not in ("train", "infer"):
+        raise ConfigurationError(f"unknown batchnorm mode {mode!r}")
+    if gamma.data.shape != (f,) or beta.data.shape != (f,):
+        raise ConfigurationError(f"gamma/beta must have shape ({f},)")
+    if running.mean.shape != (f,):
+        raise ConfigurationError(f"running stats sized {running.mean.shape} do not match {f} features")
+    centred = x if owned else None
+    if mode == "train":
+        if rows < 2:
+            raise BatchTooSmallError(f"batchnorm in train mode needs >= 2 rows, got {rows}")
+        # Two passes: the variance of the centred array, never
+        # E[x^2] - mean^2, which cancels in float32. einsum sums the
+        # squares without a full-size temporary.
+        mu = x.mean(axis=0)
+        xc = np.subtract(x, mu, out=centred)
+        var = np.einsum("ij,ij->j", xc, xc) / rows
+        m = BN_MOMENTUM
+        running.mean = m * running.mean + (1.0 - m) * mu
+        running.var = m * running.var + (1.0 - m) * var
+    else:
+        mu, var = running.mean, running.var
+        xc = np.subtract(x, mu, out=centred)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    a = gamma.data * inv
+    y = xc * a if keep else np.multiply(xc, a, out=xc)
+    y += beta.data
+    return y, xc, inv
+
+
+def _bn_backward(g2: np.ndarray, xc: np.ndarray, inv: np.ndarray, gamma: Tensor,
+                 beta: Tensor, mode: str) -> np.ndarray:
+    """Accumulate the gamma and beta gradients of the [rows, F] output
+    gradient g2, and return the input gradient, formed in place in g2
+    and, in train mode, in the saved centred copy xc."""
+    rows = g2.shape[0]
+    g_sum = g2.sum(axis=0)
+    gxc_sum = np.einsum("ij,ij->j", g2, xc)
+    _accumulate(beta, g_sum)
+    _accumulate(gamma, gxc_sum * inv)
+    a = gamma.data * inv
+    g2 *= a
+    if mode == "infer":
+        return g2
+    # d/dx of gamma * (x - mean) * inv + beta with batch statistics,
+    # folded to b * xc + c + a * g per feature (Ioffe & Szegedy 2015),
+    # summed in that order in the saved centred copy.
+    b = -a * inv * inv * (gxc_sum / rows)
+    c = -a * (g_sum / rows)
+    gx = xc
+    gx *= b
+    gx += c
+    gx += g2
+    return gx
+
+
 def batchnorm1d(inp: Tensor, gamma: Tensor, beta: Tensor, mode: str,
                 running: BatchNormState, tape: Tape | None = None) -> Tensor:
     """Per-feature normalization of an [N, F] or [N, T, F] input.
@@ -346,62 +440,16 @@ def batchnorm1d(inp: Tensor, gamma: Tensor, beta: Tensor, mode: str,
     and folds them into the running averages; infer mode normalizes by
     the running statistics and mutates nothing.
     """
-    if mode not in ("train", "infer"):
-        raise ConfigurationError(f"unknown batchnorm mode {mode!r}")
     if inp.data.ndim not in (2, 3):
         raise ConfigurationError(f"batchnorm input must be [N, F] or [N, T, F], got shape {inp.data.shape}")
     f = inp.data.shape[-1]
-    x = inp.data.reshape(-1, f)
-    rows = x.shape[0]
-    if gamma.data.shape != (f,) or beta.data.shape != (f,):
-        raise ConfigurationError(f"gamma/beta must have shape ({f},)")
-    if running.mean.shape != (f,):
-        raise ConfigurationError(f"running stats sized {running.mean.shape} do not match {f} features")
-
-    if mode == "train":
-        if rows < 2:
-            raise BatchTooSmallError(f"batchnorm in train mode needs >= 2 rows, got {rows}")
-        # Two passes: the variance of the centred array, never
-        # E[x^2] - mean^2, which cancels in float32. einsum sums the
-        # squares without a full-size temporary.
-        mu = x.mean(axis=0)
-        xc = x - mu
-        var = np.einsum("ij,ij->j", xc, xc) / rows
-        m = BN_MOMENTUM
-        running.mean = m * running.mean + (1.0 - m) * mu
-        running.var = m * running.var + (1.0 - m) * var
-    else:
-        mu, var = running.mean, running.var
-        xc = x - mu
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    y = xc * (gamma.data * inv)
-    y += beta.data
+    y, xc, inv = _bn_forward(inp.data.reshape(-1, f), gamma, beta, mode, running,
+                             owned=False, keep=tape is not None)
     out = Tensor(y.reshape(inp.data.shape))
 
     if tape is not None:
         def bwd(g: np.ndarray) -> None:
-            g2 = g.reshape(-1, f)
-            g_sum = g2.sum(axis=0)
-            gxc_sum = np.einsum("ij,ij->j", g2, xc)
-            _accumulate(beta, g_sum)
-            _accumulate(gamma, gxc_sum * inv)
-            if not _wants_grad(inp):
-                return
-            a = gamma.data * inv
-            g2 *= a
-            if mode == "train":
-                # d/dx of gamma * (x - mean) * inv + beta with batch
-                # statistics, folded to b * xc + c + a * g per feature
-                # (Ioffe & Szegedy 2015), summed in that order in the
-                # saved centred copy.
-                b = -a * inv * inv * (gxc_sum / rows)
-                c = -a * (g_sum / rows)
-                gx = xc
-                gx *= b
-                gx += c
-                gx += g2
-            else:
-                gx = g2
+            gx = _bn_backward(g.reshape(-1, f), xc, inv, gamma, beta, mode)
             _accumulate(inp, gx.reshape(inp.data.shape), fresh=True)
         tape.record(out, bwd)
     return out

@@ -9,8 +9,8 @@ mtl_order per-dimension statistics of the input crop. The embedding is
 the affine output of the first segment layer, taken before its relu and
 batch norm, so it is untouched by anything downstream of that layer.
 
-Each frame layer is two tape ops: a convolution with its relu built in,
-and a batch norm over the [N, T, F] output's N * T frames. Training and
+Each frame layer is one tape op: a convolution with its relu and its
+batch norm over the output's N * T frames built in. Training and
 extraction (a batch of one) run the same checked frame stack and pooling.
 
 The joint objective is task_weight * reconstruction_mse +
@@ -288,8 +288,8 @@ def build_model(config: ModelConfig, dtype=np.float32) -> Model:
 def _pooled(model: Model, x, mode: str, tape: Tape | None = None,
             what: str = "input") -> Tensor:
     """Check an [N, L, D] input (named `what` in errors) against the model,
-    then run layers l1..l5, each a conv with a built-in relu and a batch
-    norm over all N * T frames (two tape entries), and statistics pooling."""
+    then run layers l1..l5, each a conv with a built-in relu and batch norm
+    over all N * T frames (one tape entry), and statistics pooling."""
     cfg = model.config
     h = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=model.dtype))
     if h.ndim != 3:
@@ -304,8 +304,8 @@ def _pooled(model: Model, x, mode: str, tape: Tape | None = None,
     for i, dilation in enumerate(cfg.dilations, start=1):
         name = f"l{i}"
         h = conv1d_dilated(h, p[f"{name}.weight"], p[f"{name}.bias"], dilation, tape,
-                           activation="relu")
-        h = batchnorm1d(h, p[f"{name}.gamma"], p[f"{name}.beta"], mode, model.bn_states[name], tape)
+                           activation="relu", norm=(p[f"{name}.gamma"], p[f"{name}.beta"],
+                                                    mode, model.bn_states[name]))
     return stats_pool(h, tape)
 
 
@@ -620,14 +620,18 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
     check_op("conv1d_dilated.batched", lambda tape: conv1d_dilated(xb, w, b, 2, tape),
              {"input": xb, "weight": w, "bias": b}, tgt_b)
 
-    # conv with its built-in relu, batched; inputs are redrawn until every
-    # pre-activation sits 0.02 or more from the kink, so no finite
-    # difference step crosses it, and some of them are clamped
-    while True:
-        xc = Tensor(rng.normal(size=(2, 9, 3)), requires_grad=True)
-        pre = conv1d_dilated(xc, w, b, dilation=2).data
-        if np.abs(pre).min() > 0.02 and (pre < 0).any():
-            break
+    def off_kink() -> Tensor:
+        """A batched conv input, redrawn until every pre-activation sits 0.02
+        or more from the relu kink, so no finite difference step crosses it,
+        and some of them are clamped."""
+        while True:
+            drawn = Tensor(rng.normal(size=(2, 9, 3)), requires_grad=True)
+            pre = conv1d_dilated(drawn, w, b, dilation=2).data
+            if np.abs(pre).min() > 0.02 and (pre < 0).any():
+                return drawn
+
+    # conv with its built-in relu, batched
+    xc = off_kink()
     check_op("conv1d_dilated.relu",
              lambda tape: conv1d_dilated(xc, w, b, 2, tape, activation="relu"),
              {"input": xc, "weight": w, "bias": b}, tgt_b)
@@ -679,6 +683,17 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
           lambda tape: add(scale(mse_loss(reshape(xg, (3, 4), tape), tgt_g1, tape), 0.3, tape),
                            scale(mse_loss(xg, tgt_g2, tape), 0.7, tape), tape),
           {"input": xg})
+
+    # conv with its built-in relu and batch norm, train mode, batched
+    gf = Tensor(1.0 + 0.1 * rng.normal(size=4), requires_grad=True)
+    bf = Tensor(0.1 * rng.normal(size=4), requires_grad=True)
+    xf = off_kink()
+    bf_state = BatchNormState.create(4, dtype=np.float64)
+    check_op("conv1d_dilated.relu.batchnorm",
+             lambda tape: conv1d_dilated(xf, w, b, 2, tape, activation="relu",
+                                         norm=(gf, bf, "train", bf_state)),
+             {"input": xf, "weight": w, "bias": b, "gamma": gf, "beta": bf},
+             rng.normal(size=(2, 20)))
 
     # full miniature network at three task weights, on the loss training minimizes
     net_rng = np.random.default_rng(99)

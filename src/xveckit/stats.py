@@ -101,7 +101,8 @@ def stats_pool(frames: Tensor, tape: Tape | None = None) -> Tensor:
         raise PoolingError(f"stats_pool needs at least 2 frames, got {t}")
     mu = x.mean(axis=1)
     centered = x - mu[:, None, :]
-    var = (centered * centered).mean(axis=1)
+    # einsum sums the squares without a full-size temporary.
+    var = np.einsum("ntf,ntf->nf", centered, centered) / t
     std = np.sqrt(var + POOL_EPS)
     out = Tensor(np.concatenate([mu, std], axis=1))
 

@@ -1,5 +1,7 @@
 """Tape, primitives, finite-difference checks, and the optimizer."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from xveckit.autodiff import (
     optimizer_step,
     relu,
     reshape,
+    scale,
     softmax_cross_entropy,
 )
 from xveckit.errors import ConfigurationError, TrainingDivergedError, UsageError
@@ -353,6 +356,14 @@ def _bn(mode):
     return op
 
 
+def _conv_bn(mode):
+    def op(tape, x, w, b, gamma, beta):
+        state = BatchNormState(mean=np.full(4, 0.2), var=np.full(4, 1.5))
+        return conv1d_dilated(x, w, b, dilation=2, tape=tape, activation="relu",
+                              norm=(gamma, beta, mode, state))
+    return op
+
+
 def _pool(tape, x):
     return stats_pool(x, tape)
 
@@ -364,8 +375,11 @@ def _pool(tape, x):
     (_conv, [(2, 9, 3), (4, 3, 3), (4,)]),
     (_bn("train"), [(2, 5, 3), (3,), (3,)]),
     (_bn("infer"), [(2, 5, 3), (3,), (3,)]),
+    (_conv_bn("train"), [(2, 9, 3), (4, 3, 3), (4,), (4,), (4,)]),
+    (_conv_bn("infer"), [(2, 9, 3), (4, 3, 3), (4,), (4,), (4,)]),
     (_pool, [(2, 5, 3)]),
-], ids=["conv-one-tap", "conv", "batchnorm-train", "batchnorm-infer", "stats_pool"])
+], ids=["conv-one-tap", "conv", "batchnorm-train", "batchnorm-infer", "conv-batchnorm-train",
+        "conv-batchnorm-infer", "stats_pool"])
 def test_backward_keeps_inputs_and_outputs(op, shapes):
     rng = np.random.default_rng(42)
     inputs = [t64(rng.normal(size=s)) for s in shapes]
@@ -378,6 +392,69 @@ def test_backward_keeps_inputs_and_outputs(op, shapes):
     assert out.data.tobytes() == expected.tobytes()
     for t, ref in zip(inputs, before):
         assert t.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_batchnorm_equals_conv_then_batchnorm(dtype, mode):
+    # The built-in batch norm runs batchnorm1d's arithmetic in the same
+    # order, so every output, gradient and running statistic is bitwise
+    # that of the two-op composition.
+    rng = np.random.default_rng(46)
+    shapes = [(3, 12, 4), (5, 4, 3), (5,), (5,), (5,)]
+    arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
+    arrays[3] = rng.uniform(0.5, 1.5, size=5).astype(dtype)
+    target = Tensor(rng.normal(size=(3, 40)).astype(dtype))
+    results = []
+    for fused in (True, False):
+        x, w, b, gamma, beta = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        state = BatchNormState(mean=np.full(5, 0.2, dtype=dtype), var=np.full(5, 1.5, dtype=dtype))
+        tape = Tape()
+        if fused:
+            out = conv1d_dilated(x, w, b, 2, tape, "relu", norm=(gamma, beta, mode, state))
+        else:
+            h = conv1d_dilated(x, w, b, 2, tape, "relu")
+            assert (h.data == 0).any() and (h.data > 0).any()
+            out = batchnorm1d(h, gamma, beta, mode, state, tape)
+        backward(mse_loss(reshape(out, target.shape, tape), target, tape), tape)
+        results.append([out.data, x.grad, w.grad, b.grad, gamma.grad, beta.grad,
+                        state.mean, state.var])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_backward_frees_each_entry_as_it_goes():
+    rng = np.random.default_rng(45)
+    x = t64(rng.normal(size=(2, 9, 3)))
+    w, b = t64(rng.normal(size=(4, 3, 3))), t64(rng.normal(size=4))
+    gamma, beta = t64(rng.uniform(0.5, 1.5, size=4)), t64(rng.normal(size=4))
+    tape = Tape()
+    h = scale(x, 1.0, tape)
+    out = conv1d_dilated(h, w, b, 2, tape, "relu",
+                         norm=(gamma, beta, "train", BatchNormState.create(4, dtype=np.float64)))
+    # The conv's own saved arrays: im2col, the centred matmul output, the relu mask.
+    conv_bwd = tape._entries[1][1]
+    cells = dict(zip(conv_bwd.__code__.co_freevars, conv_bwd.__closure__))
+    saved = [weakref.ref(cells[name].cell_contents) for name in ("cols_flat", "xc", "mask")]
+    del conv_bwd, cells
+    loss = mse_loss(reshape(out, (2, 20), tape), Tensor(np.ones((2, 20))), tape)
+
+    dead_when_first_ran = []
+    first_out, first_bwd = tape._entries[0]
+
+    def probe(g):
+        dead_when_first_ran.append([ref() is None for ref in saved])
+        first_bwd(g)
+
+    tape._entries[0] = (first_out, probe)
+    del first_out
+    backward(loss, tape)
+    assert dead_when_first_ran == [[True, True, True]]
+    assert len(tape) == 0
+    assert h.grad is None and out.grad is None and loss.grad is None
+    for leaf in (x, w, b, gamma, beta):
+        assert leaf.grad is not None
 
 
 @pytest.mark.parametrize("pool_first", [False, True])

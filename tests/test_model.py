@@ -193,7 +193,7 @@ def test_loss_weighting_validation():
 
 
 # ---------------------------------------------------------------------------
-# frame layers: two tape ops each must equal the five-op composition
+# frame layers: one tape op each must equal the five-op composition
 # ---------------------------------------------------------------------------
 
 def reference_batchnorm(inp, gamma, beta, running, tape):
@@ -268,7 +268,7 @@ def test_lean_frame_layers_match_five_op_composition():
         r = forward(lean, x, "train", tape)
         total = multitask_loss(r.logits, labels, r.reconstruction, targets,
                                MINIATURE_CONFIG.task_weight, tape).total
-        assert len(tape) == 20
+        assert len(tape) == 15
         backward(total, tape)
 
         ref_tape = Tape()
