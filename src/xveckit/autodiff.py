@@ -3,23 +3,25 @@
 The engine is deliberately small: a Tensor wrapping an ndarray, a Tape
 recording executed primitives in order, and exactly the operations the
 embedding network needs: dilated 1-d convolution over [N, T, C] frames
-with an optional built-in relu and batch norm, and dense layers with an
-optional built-in relu; batch normalization over [N, F] or [N, T, F];
-the two losses; and a handful of glue ops. Statistics pooling lives in
-stats.py. Backward runs the tape once in reverse; every op's backward
-closure accumulates into the gradients of its inputs.
+and dense layers over [N, F] rows, each with an optional built-in relu
+and batch norm (a dense layer is a one-tap convolution over frames of
+length one, so both run one body); batch normalization on its own over
+[N, F] or [N, T, F]; the two losses; and a handful of glue ops.
+Statistics pooling lives in stats.py. Backward runs the tape once in
+reverse; every op's backward closure accumulates into the gradients of
+its inputs.
 
 Ownership: a tape is single-use, so a backward closure may overwrite
 two kinds of array and no others. One is the gradient it is handed,
 which belongs to its output tensor alone (see _accumulate). The other
 is any array it saved during forward that no caller can see, such as
-an im2col buffer or a centred copy of the input. A convolution with a
-built-in batch norm owns its matmul output, so it centres that in place
-as its saved copy. Inputs, forward outputs and parameters are never
-written. Backward releases each tape entry, its closure and the saved
-arrays with it, as soon as the closure has run, and drops the output's
-spent gradient. So after backward a leaf's .grad is its gradient, while
-an intermediate tensor holds no .grad.
+an im2col buffer or a centred copy of the input. A convolution or dense
+layer with a built-in batch norm owns its matmul output, so it centres
+that in place as its saved copy. Inputs, forward outputs and parameters
+are never written. Backward releases each tape entry, its closure and
+the saved arrays with it, as soon as the closure has run, and drops the
+output's spent gradient. So after backward a leaf's .grad is its
+gradient, while an intermediate tensor holds no .grad.
 
 Ops are pure functions of their explicit inputs plus the tape. Passing
 tape=None runs forward only, which is the inference path.
@@ -188,9 +190,11 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
 
     inp is [N, T, C_in]; weight is [C_out, C_in, k]; bias is [C_out]. No
     padding: the output keeps T - (k-1)*dilation frames. Kernel taps are
-    applied in index order (no flip). The relu runs in place on the matmul
-    output; with a tape, its mask is taken there too, and backward masks
-    the incoming gradient in place by it.
+    applied in index order (no flip). An [N, F_in] input with an
+    [F_out, F_in] weight is N frames of length one under a one-tap kernel,
+    which is dense; its output and gradients keep those 2-d layouts. The
+    relu runs in place on the matmul output; with a tape, its mask is
+    taken there too, and backward masks the incoming gradient in place by it.
 
     norm=(gamma, beta, mode, running) then normalizes the output over its
     N * T_out frames with batchnorm1d's arithmetic. The op owns its matmul
@@ -202,13 +206,15 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
         raise ConfigurationError(f"dilation must be a positive integer, got {dilation!r}")
     if activation not in ("none", "relu"):
         raise ConfigurationError(f"unknown activation {activation!r}")
-    if weight.data.ndim != 3:
-        raise ConfigurationError(f"conv weight must be [C_out, C_in, k], got shape {weight.data.shape}")
-    if inp.data.ndim != 3:
-        raise ConfigurationError(f"conv input must be [N, T, C_in], got shape {inp.data.shape}")
-    x = inp.data
+    x, w = inp.data, weight.data
+    if x.ndim == 2 and w.ndim == 2:
+        x, w = x[:, None, :], w[:, :, None]
+    if w.ndim != 3:
+        raise ConfigurationError(f"conv weight must be [C_out, C_in, k], got shape {w.shape}")
+    if x.ndim != 3:
+        raise ConfigurationError(f"conv input must be [N, T, C_in], got shape {x.shape}")
     n, t, c_in = x.shape
-    c_out, w_cin, k = weight.data.shape
+    c_out, w_cin, k = w.shape
     if w_cin != c_in:
         raise ConfigurationError(f"conv input has {c_in} channels but weight expects {w_cin}")
     if bias.data.shape != (c_out,):
@@ -225,7 +231,7 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
     else:
         cols_flat = np.stack([x[:, j * dilation: j * dilation + t_out, :] for j in range(k)],
                              axis=2).reshape(n * t_out, k * c_in)
-    w_flat = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
+    w_flat = w.transpose(0, 2, 1).reshape(c_out, k * c_in)
     y = cols_flat @ w_flat.T
     y += bias.data
     mask = None
@@ -235,8 +241,8 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
             mask = y > 0
     if norm is not None:
         gamma, beta, mode, running = norm
-        y, xc, inv = _bn_forward(y, gamma, beta, mode, running, owned=True, keep=tape is not None)
-    out = Tensor(y.reshape(n, t_out, c_out))
+        y, xc, inv = _bn_forward(y, gamma, beta, mode, running, keep=tape is not None)
+    out = Tensor(y.reshape(n, t_out, c_out) if inp.data.ndim == 3 else y)
 
     if tape is not None:
         def bwd(g: np.ndarray) -> None:
@@ -248,11 +254,11 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
             _accumulate(bias, g_flat.sum(axis=0))
             if _wants_grad(weight):
                 gw = (g_flat.T @ cols_flat).reshape(c_out, k, c_in).transpose(0, 2, 1)
-                _accumulate(weight, gw)
+                _accumulate(weight, gw.reshape(weight.data.shape))
             if _wants_grad(inp):
                 if k == 1:
                     # cols_flat is the caller's input here: never write it.
-                    gx = (g_flat @ w_flat).reshape(n, t, c_in)
+                    gx = (g_flat @ w_flat).reshape(inp.data.shape)
                 else:
                     # The im2col buffer is spent once gw is formed. col2im:
                     # the first tap fills its frames, the tail is zeroed,
@@ -269,34 +275,16 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
 
 
 def dense(inp: Tensor, weight: Tensor, bias: Tensor, activation: str = "none",
-          tape: Tape | None = None) -> Tensor:
-    """Affine map y = x W^T + b over rows, with an optional built-in relu."""
-    if activation not in ("none", "relu"):
-        raise ConfigurationError(f"unknown activation {activation!r}")
-    if inp.data.ndim != 2:
-        raise ConfigurationError(f"dense input must be [N, F_in], got shape {inp.data.shape}")
-    x = inp.data
-    if weight.data.ndim != 2 or weight.data.shape[1] != x.shape[1]:
-        raise ConfigurationError(
-            f"dense weight must be [F_out, {x.shape[1]}], got shape {weight.data.shape}")
-    f_out = weight.data.shape[0]
-    if bias.data.shape != (f_out,):
-        raise ConfigurationError(f"dense bias must have shape ({f_out},), got {bias.data.shape}")
-    y = x @ weight.data.T + bias.data
-    if activation == "relu":
-        y = np.maximum(y, 0)
-    out = Tensor(y)
-
-    if tape is not None:
-        def bwd(g: np.ndarray) -> None:
-            gp = g * (out.data > 0) if activation == "relu" else g
-            _accumulate(bias, gp.sum(axis=0))
-            if _wants_grad(weight):
-                _accumulate(weight, gp.T @ x)
-            if _wants_grad(inp):
-                _accumulate(inp, gp @ weight.data)
-        tape.record(out, bwd)
-    return out
+          tape: Tape | None = None,
+          norm: tuple[Tensor, Tensor, str, BatchNormState] | None = None) -> Tensor:
+    """Affine map y = x W^T + b over the rows of an [N, F_in] input, with
+    an optional built-in relu and batch norm over the N rows: the one-tap
+    conv1d_dilated on N frames of length one, with the same x @ W^T, so
+    conv's checks name a width or bias mismatch."""
+    if inp.data.ndim != 2 or weight.data.ndim != 2:
+        raise ConfigurationError(f"dense needs an [N, F_in] input and an [F_out, F_in] weight, "
+                                 f"got shapes {inp.data.shape} and {weight.data.shape}")
+    return conv1d_dilated(inp, weight, bias, 1, tape, activation, norm)
 
 
 def relu(inp: Tensor, tape: Tape | None = None) -> Tensor:
@@ -366,13 +354,12 @@ class BatchNormState:
 
 
 def _bn_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, mode: str,
-                running: BatchNormState, owned: bool,
-                keep: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                running: BatchNormState, keep: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalize the [rows, F] array x per feature; returns (y, xc, inv).
 
-    owned: x belongs to the caller's op alone, so it is centred in place.
-    keep: backward will read the centred copy xc, so y is a new array;
-    otherwise y is xc, scaled and shifted in place.
+    x belongs to the caller's op alone, so it is centred in place as xc.
+    keep: backward will read xc, so y is a new array; otherwise y is xc,
+    scaled and shifted in place.
     """
     rows, f = x.shape
     if mode not in ("train", "infer"):
@@ -381,7 +368,6 @@ def _bn_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, mode: str,
         raise ConfigurationError(f"gamma/beta must have shape ({f},)")
     if running.mean.shape != (f,):
         raise ConfigurationError(f"running stats sized {running.mean.shape} do not match {f} features")
-    centred = x if owned else None
     if mode == "train":
         if rows < 2:
             raise BatchTooSmallError(f"batchnorm in train mode needs >= 2 rows, got {rows}")
@@ -389,14 +375,14 @@ def _bn_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, mode: str,
         # E[x^2] - mean^2, which cancels in float32. einsum sums the
         # squares without a full-size temporary.
         mu = x.mean(axis=0)
-        xc = np.subtract(x, mu, out=centred)
+        xc = np.subtract(x, mu, out=x)
         var = np.einsum("ij,ij->j", xc, xc) / rows
         m = BN_MOMENTUM
         running.mean = m * running.mean + (1.0 - m) * mu
         running.var = m * running.var + (1.0 - m) * var
     else:
         mu, var = running.mean, running.var
-        xc = np.subtract(x, mu, out=centred)
+        xc = np.subtract(x, mu, out=x)
     inv = 1.0 / np.sqrt(var + BN_EPS)
     a = gamma.data * inv
     y = xc * a if keep else np.multiply(xc, a, out=xc)
@@ -438,13 +424,15 @@ def batchnorm1d(inp: Tensor, gamma: Tensor, beta: Tensor, mode: str,
     [N, T, F] is normalized over its N * T frames without a reshape op.
     Train mode normalizes by batch statistics (two-pass, biased variance)
     and folds them into the running averages; infer mode normalizes by
-    the running statistics and mutates nothing.
+    the running statistics and mutates nothing. It works on a copy of its
+    input, and it is the reference for the batch norm built into
+    conv1d_dilated and dense.
     """
     if inp.data.ndim not in (2, 3):
         raise ConfigurationError(f"batchnorm input must be [N, F] or [N, T, F], got shape {inp.data.shape}")
     f = inp.data.shape[-1]
-    y, xc, inv = _bn_forward(inp.data.reshape(-1, f), gamma, beta, mode, running,
-                             owned=False, keep=tape is not None)
+    y, xc, inv = _bn_forward(inp.data.reshape(-1, f).copy(), gamma, beta, mode, running,
+                             keep=tape is not None)
     out = Tensor(y.reshape(inp.data.shape))
 
     if tape is not None:

@@ -9,9 +9,11 @@ mtl_order per-dimension statistics of the input crop. The embedding is
 the affine output of the first segment layer, taken before its relu and
 batch norm, so it is untouched by anything downstream of that layer.
 
-Each frame layer is one tape op: a convolution with its relu and its
-batch norm over the output's N * T frames built in. Training and
-extraction (a batch of one) run the same checked frame stack and pooling.
+Each hidden layer is one tape op: an affine map with its relu and its
+batch norm built in, over the N * T frames of a frame layer (a dilated
+convolution) or the N rows of a segment layer (a dense layer, run by the
+same op body as a one-tap convolution). Training and extraction (a batch
+of one) run the same checked frame stack and pooling.
 
 The joint objective is task_weight * reconstruction_mse +
 (1 - task_weight) * cross_entropy, recorded as one weighted add.
@@ -313,18 +315,19 @@ def forward(model: Model, batch, mode: str = "train", tape: Tape | None = None) 
     """Run a [N, L, D] batch through the network.
 
     Returns speaker logits and, when the model has an auxiliary head,
-    the reconstructed statistics vector. Frame-level batch norm is
-    applied across all N * T frames of the batch.
+    the reconstructed statistics vector. Each hidden layer is one op with
+    its relu and batch norm built in; frame-level batch norm is applied
+    across all N * T frames of the batch, segment-level across its N rows.
     """
     p = model.params
-    h6 = dense(_pooled(model, batch, mode, tape), p["l6.weight"], p["l6.bias"], "relu", tape)
-    h6 = batchnorm1d(h6, p["l6.gamma"], p["l6.beta"], mode, model.bn_states["l6"], tape)
-    h7 = dense(h6, p["l7.weight"], p["l7.bias"], "relu", tape)
-    h7 = batchnorm1d(h7, p["l7.gamma"], p["l7.beta"], mode, model.bn_states["l7"], tape)
-    logits = dense(h7, p["softmax.weight"], p["softmax.bias"], "none", tape)
+    h = _pooled(model, batch, mode, tape)
+    for name in ("l6", "l7"):
+        h = dense(h, p[f"{name}.weight"], p[f"{name}.bias"], "relu", tape,
+                  norm=(p[f"{name}.gamma"], p[f"{name}.beta"], mode, model.bn_states[name]))
+    logits = dense(h, p["softmax.weight"], p["softmax.bias"], "none", tape)
     recon = None
     if model.config.mtl_order:
-        recon = dense(h7, p["mtl.weight"], p["mtl.bias"], "none", tape)
+        recon = dense(h, p["mtl.weight"], p["mtl.bias"], "none", tape)
     return ForwardResult(logits=logits, reconstruction=recon)
 
 

@@ -364,6 +364,17 @@ def _conv_bn(mode):
     return op
 
 
+def _dense(tape, x, w, b):
+    return dense(x, w, b, "relu", tape)
+
+
+def _dense_bn(mode):
+    def op(tape, x, w, b, gamma, beta):
+        state = BatchNormState(mean=np.full(4, 0.2), var=np.full(4, 1.5))
+        return dense(x, w, b, "relu", tape, norm=(gamma, beta, mode, state))
+    return op
+
+
 def _pool(tape, x):
     return stats_pool(x, tape)
 
@@ -377,9 +388,13 @@ def _pool(tape, x):
     (_bn("infer"), [(2, 5, 3), (3,), (3,)]),
     (_conv_bn("train"), [(2, 9, 3), (4, 3, 3), (4,), (4,), (4,)]),
     (_conv_bn("infer"), [(2, 9, 3), (4, 3, 3), (4,), (4,), (4,)]),
+    (_dense, [(6, 3), (4, 3), (4,)]),
+    (_dense_bn("train"), [(6, 3), (4, 3), (4,), (4,), (4,)]),
+    (_dense_bn("infer"), [(6, 3), (4, 3), (4,), (4,), (4,)]),
     (_pool, [(2, 5, 3)]),
 ], ids=["conv-one-tap", "conv", "batchnorm-train", "batchnorm-infer", "conv-batchnorm-train",
-        "conv-batchnorm-infer", "stats_pool"])
+        "conv-batchnorm-infer", "dense", "dense-batchnorm-train", "dense-batchnorm-infer",
+        "stats_pool"])
 def test_backward_keeps_inputs_and_outputs(op, shapes):
     rng = np.random.default_rng(42)
     inputs = [t64(rng.normal(size=s)) for s in shapes]
@@ -394,34 +409,71 @@ def test_backward_keeps_inputs_and_outputs(op, shapes):
         assert t.data.tobytes() == ref.data.tobytes()
 
 
+def _conv_relu(x, w, b, tape, norm=None):
+    return conv1d_dilated(x, w, b, 2, tape, "relu", norm=norm)
+
+
+def _dense_relu(x, w, b, tape, norm=None):
+    return dense(x, w, b, "relu", tape, norm=norm)
+
+
 @pytest.mark.parametrize("mode", ["train", "infer"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_batchnorm_equals_conv_then_batchnorm(dtype, mode):
-    # The built-in batch norm runs batchnorm1d's arithmetic in the same
-    # order, so every output, gradient and running statistic is bitwise
-    # that of the two-op composition.
+    # The built-in batch norm of conv1d_dilated, and so of dense, runs
+    # batchnorm1d's arithmetic in the same order, so every output, gradient
+    # and running statistic is bitwise that of the two-op composition.
     rng = np.random.default_rng(46)
-    shapes = [(3, 12, 4), (5, 4, 3), (5,), (5,), (5,)]
-    arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
-    arrays[3] = rng.uniform(0.5, 1.5, size=5).astype(dtype)
-    target = Tensor(rng.normal(size=(3, 40)).astype(dtype))
-    results = []
-    for fused in (True, False):
-        x, w, b, gamma, beta = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        state = BatchNormState(mean=np.full(5, 0.2, dtype=dtype), var=np.full(5, 1.5, dtype=dtype))
-        tape = Tape()
-        if fused:
-            out = conv1d_dilated(x, w, b, 2, tape, "relu", norm=(gamma, beta, mode, state))
-        else:
-            h = conv1d_dilated(x, w, b, 2, tape, "relu")
-            assert (h.data == 0).any() and (h.data > 0).any()
-            out = batchnorm1d(h, gamma, beta, mode, state, tape)
-        backward(mse_loss(reshape(out, target.shape, tape), target, tape), tape)
-        results.append([out.data, x.grad, w.grad, b.grad, gamma.grad, beta.grad,
-                        state.mean, state.var])
-    for got, want in zip(*results):
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    for x_shape, w_shape, layer in [((3, 12, 4), (5, 4, 3), _conv_relu),
+                                    ((24, 4), (5, 4), _dense_relu)]:
+        shapes = [x_shape, w_shape, (5,), (5,), (5,)]
+        arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
+        arrays[3] = rng.uniform(0.5, 1.5, size=5).astype(dtype)
+        target = Tensor(rng.normal(size=(3, 40)).astype(dtype))
+        results = []
+        for fused in (True, False):
+            x, w, b, gamma, beta = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            state = BatchNormState(mean=np.full(5, 0.2, dtype=dtype),
+                                   var=np.full(5, 1.5, dtype=dtype))
+            tape = Tape()
+            if fused:
+                out = layer(x, w, b, tape, norm=(gamma, beta, mode, state))
+            else:
+                h = layer(x, w, b, tape)
+                assert (h.data == 0).any() and (h.data > 0).any()
+                out = batchnorm1d(h, gamma, beta, mode, state, tape)
+            backward(mse_loss(reshape(out, target.shape, tape), target, tape), tape)
+            results.append([out.data, x.grad, w.grad, b.grad, gamma.grad, beta.grad,
+                            state.mean, state.var])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["none", "relu"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_is_bitwise_the_matmul_formula(dtype, activation):
+    # dense runs the one-tap convolution's body, yet its output and its
+    # gradients are bitwise those of the plain row-wise formula.
+    rng = np.random.default_rng(47)
+    x, w, b = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+               for s in [(16, 6), (5, 6), (5,)]]
+    g = rng.normal(size=(16, 5)).astype(dtype)
+    tape = Tape()
+    out = dense(x, w, b, activation, tape)
+    want = x.data @ w.data.T + b.data
+    gp = g
+    if activation == "relu":
+        want = np.maximum(want, 0)
+        assert (want == 0).any() and (want > 0).any()
+        gp = g * (want > 0)
+    (_, bwd), = tape._entries
+    bwd(g.copy())
+    pairs = [(out.data, want), (b.grad, gp.sum(axis=0)), (w.grad, gp.T @ x.data),
+             (x.grad, gp @ w.data)]
+    for got, ref in pairs:
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_backward_frees_each_entry_as_it_goes():

@@ -268,7 +268,7 @@ def test_lean_frame_layers_match_five_op_composition():
         r = forward(lean, x, "train", tape)
         total = multitask_loss(r.logits, labels, r.reconstruction, targets,
                                MINIATURE_CONFIG.task_weight, tape).total
-        assert len(tape) == 15
+        assert len(tape) == 13
         backward(total, tape)
 
         ref_tape = Tape()
