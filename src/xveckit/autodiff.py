@@ -520,10 +520,11 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     Bias-corrected moments, elementwise step size, and decoupled L2 decay
     (decay acts on the parameter directly, not through the gradient).
     grads maps parameter name to its gradient array; a missing or None
-    entry counts as a zero gradient. Non-finite gradients abort with a
-    TrainingDivergedError naming the parameter. The update is a pure
-    function of (params, grads, state, hyperparameters), so replaying a
-    recorded trajectory reproduces it bitwise.
+    entry counts as a zero gradient. A non-finite gradient aborts with a
+    TrainingDivergedError naming the parameter, before any parameter,
+    moment or the step count moves. The update is a pure function of
+    (params, grads, state, hyperparameters), so replaying a recorded
+    trajectory reproduces it bitwise.
     """
     if weight_decay < 0:
         raise ConfigurationError(f"weight decay must be non-negative, got {weight_decay}")
@@ -532,6 +533,9 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             raise ConfigurationError(f"optimizer state has no slot for parameter '{name}'")
         if state.first_moment[name].shape != params[name].data.shape:
             raise ConfigurationError(f"optimizer state shape mismatch for parameter '{name}'")
+        g = grads.get(name)
+        if g is not None and not np.all(np.isfinite(g)):
+            raise TrainingDivergedError(f"non-finite gradient for parameter '{name}'")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - beta1 ** t
@@ -540,8 +544,6 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"non-finite gradient for parameter '{name}'")
         m = state.first_moment[name]
         v = state.second_moment[name]
         m *= beta1

@@ -13,7 +13,8 @@ trial list names is preprocessed and normalized once, and PLDA computes
 its quadratic form and its product with the cross matrix once; a trial
 is then a gather of its two rows and one dot product, so the cost is
 O(U d^2 + T d) for U utterances and T trials. A trial list that names
-one (enroll, test) pair twice is rejected.
+one (enroll, test) pair twice is rejected by check_unique_trials, which
+evaluate uses too.
 
 LDA solves the generalized between/within eigenproblem by whitening the
 within-class scatter and taking the symmetric eigendecomposition
@@ -50,6 +51,7 @@ __all__ = [
     "fit_plda",
     "Trial",
     "score_trials",
+    "check_unique_trials",
     "all_pairs_trials",
     "read_trials",
     "write_trials",
@@ -134,9 +136,10 @@ def _class_stats(embeddings: np.ndarray, labels, who: str) -> _ClassStats:
                        retained_mean=x[np.concatenate(retained)].mean(axis=0))
 
 
-def check_lda_dim(lda_dim: int, n_classes: int, dim: int) -> None:
-    """LDA on n_classes speakers of dimension dim finds at most
-    min(dim, n_classes - 1) directions."""
+def check_lda_dim(lda_dim: int, counts, dim: int) -> None:
+    """LDA on speakers of `counts` embeddings each, of dimension dim, finds
+    at most min(dim, C - 1) directions, C the speakers with two or more."""
+    n_classes = sum(n >= 2 for n in counts)
     max_dim = min(dim, n_classes - 1)
     if not 1 <= lda_dim <= max_dim:
         raise ConfigurationError(
@@ -150,12 +153,13 @@ def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocess
     scatter estimates with a warning. Scatters are population-normalized
     over the retained rows. The within-class scatter is probed with a
     Cholesky factorization; if that fails, a ridge of
-    1e-4 * trace/dim is added once and the fit retried.
+    1e-4 * trace/dim is added once and the fit retried. A scatter of
+    trace 0 (every speaker's embeddings identical) raises at once.
     """
     stats = _class_stats(embeddings, labels, "LDA")
     x = stats.x
     d = x.shape[1]
-    check_lda_dim(lda_dim, stats.counts.size, d)
+    check_lda_dim(lda_dim, stats.counts, d)
 
     n_retained = stats.counts.sum()
     s_within = stats.scatter_within / n_retained
@@ -169,8 +173,9 @@ def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocess
         np.linalg.cholesky(s_within)
     except np.linalg.LinAlgError:
         ridge = 1e-4 * np.trace(s_within) / d
-        log.warning("LDA: within-class scatter not positive definite, adding ridge %.3e", ridge)
-        s_within = s_within + ridge * np.eye(d)
+        if ridge > 0:  # a zero scatter has no scale to take a ridge from
+            log.warning("LDA: within-class scatter not positive definite, adding ridge %.3e", ridge)
+            s_within = s_within + ridge * np.eye(d)
         try:
             np.linalg.cholesky(s_within)
         except np.linalg.LinAlgError:
@@ -361,12 +366,7 @@ def score_trials(trials: list[Trial], embeddings: dict[str, np.ndarray],
     test = np.fromiter((row[t.test_id] for t in trials), dtype=np.intp, count=len(trials))
     pairs = np.sort(enroll * len(ids) + test)
     if (pairs[1:] == pairs[:-1]).any():
-        first: dict[tuple[str, str], int] = {}
-        for i, trial in enumerate(trials, start=1):
-            j = first.setdefault((trial.enroll_id, trial.test_id), i)
-            if j != i:
-                raise DataError(f"trial {i}: repeats trial {j} "
-                                f"({trial.enroll_id} {trial.test_id})")
+        check_unique_trials(trials)
 
     x = np.stack([np.asarray(embeddings[u], dtype=np.float64) for u in ids])
     if preprocessor is not None:
@@ -376,6 +376,16 @@ def score_trials(trials: list[Trial], embeddings: dict[str, np.ndarray],
     if plda is None:
         return np.sum(x[enroll] * x[test], axis=1)
     return _plda_scores(plda, x, enroll, test)
+
+
+def check_unique_trials(trials: list[Trial]) -> None:
+    """Raise DataError naming the first trial that repeats an earlier
+    (enroll, test) pair, whatever the labels."""
+    first: dict[tuple[str, str], int] = {}
+    for i, trial in enumerate(trials, start=1):
+        j = first.setdefault((trial.enroll_id, trial.test_id), i)
+        if j != i:
+            raise DataError(f"trial {i}: repeats trial {j} ({trial.enroll_id} {trial.test_id})")
 
 
 def all_pairs_trials(speaker_of: dict[str, str]) -> list[Trial]:
@@ -500,6 +510,8 @@ def read_embeddings(path: Path | str) -> tuple[dict[str, np.ndarray], dict[str, 
     reader.header(EMBEDDINGS_MAGIC, EMBEDDINGS_VERSION, "an embedding archive")
     count = reader.u32()
     dim = reader.u32()
+    if count == 0:
+        raise ParseError(f"{path}: the archive holds no embeddings")
     vectors: dict[str, np.ndarray] = {}
     speakers: dict[str, str] = {}
     for _ in range(count):
@@ -511,9 +523,8 @@ def read_embeddings(path: Path | str) -> tuple[dict[str, np.ndarray], dict[str, 
         vectors[utt] = vec
         speakers[utt] = spk
     reader.expect_exhausted()
-    if vectors:  # one check over all rows: a per-vector one costs more than the read
-        finite = np.isfinite(np.stack(list(vectors.values()))).all(axis=1)
-        if not finite.all():
-            utt = list(vectors)[int(np.argmin(finite))]
-            raise ParseError(f"{path}: non-finite value in the embedding of utterance '{utt}'")
+    finite = np.isfinite(np.stack(list(vectors.values()))).all(axis=1)
+    if not finite.all():  # one check over all rows: a per-vector one costs more than the read
+        utt = list(vectors)[int(np.argmin(finite))]
+        raise ParseError(f"{path}: non-finite value in the embedding of utterance '{utt}'")
     return vectors, speakers

@@ -3,6 +3,8 @@
 Subcommands cover the whole workflow: gen-data, train, extract,
 train-backend, score, evaluate, gradcheck, and sweep (train several
 systems over a task-weight/order grid and print one comparison table).
+A sweep splits its corpus once, by Manifest.split, and every system
+trains, embeds and scores on that split and one all-pairs trial list.
 
 Configuration is a flat key = value text file; every key has a default,
 unknown keys are rejected, and the effective values are logged at
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import backend as bk
 from . import binio
-from .data import CorpusSpec, Manifest, energy_vad, generate_corpus
+from .data import CorpusSpec, Manifest, check_holdout, energy_vad, generate_corpus
 from .errors import ConfigurationError, DataError, ToolkitError, UsageError
 from .metrics import DcfParams, MetricsReport, detection_metrics
 from .model import (
@@ -175,16 +177,6 @@ def system_name(order: int, alpha: float) -> str:
     return f"MT-o{order}-a{alpha * 10:g}"
 
 
-def _split_manifest(manifest: Manifest, config: RunConfig,
-                    which: str) -> Manifest:
-    if which == "all" or config.holdout_per_speaker == 0:
-        if which == "heldout" and config.holdout_per_speaker == 0:
-            raise ConfigurationError("holdout_per_speaker is 0; there is no heldout split")
-        return manifest
-    train_part, held_part = manifest.split(config.holdout_per_speaker)
-    return {"train": train_part, "heldout": held_part}[which]
-
-
 def _extract_all(model, manifest: Manifest,
                  config: RunConfig) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     vectors: dict[str, np.ndarray] = {}
@@ -254,7 +246,7 @@ def _cmd_train(args) -> int:
     config = _load_config(args)
     manifest = Manifest.load(Path(args.data) / "manifest.csv")
     out = Path(args.out)
-    _, stats = _train_system(config, _split_manifest(manifest, config, "train"), out)
+    _, stats = _train_system(config, manifest.split(config.holdout_per_speaker)[0], out)
     last = stats[-1]
     print(f"trained {len(stats)} epoch(s); final loss {last.loss:.6f} "
           f"(ce {last.ce:.6f}, mse {last.mse:.6f}); checkpoint in {out}")
@@ -265,8 +257,11 @@ def _cmd_extract(args) -> int:
     config = _load_config(args)
     model = load_checkpoint(args.model)
     manifest = Manifest.load(Path(args.data) / "manifest.csv")
-    part = _split_manifest(manifest, config, args.split)
-    vectors, speakers = _extract_all(model, part, config)
+    if args.split != "all":  # a heldout extract holds out one utterance a speaker or more
+        train_part, held_part = manifest.split(config.holdout_per_speaker,
+                                               least=int(args.split == "heldout"))
+        manifest = held_part if args.split == "heldout" else train_part
+    vectors, speakers = _extract_all(model, manifest, config)
     bk.write_embeddings(args.out, vectors, speakers)
     print(f"wrote {len(vectors)} embeddings ({args.split} split) to {args.out}")
     return 0
@@ -299,13 +294,10 @@ def _evaluate(config: RunConfig, trials: list[bk.Trial], scores: Path | str) -> 
     try:
         values = [table.pop((t.enroll_id, t.test_id)) for t in trials]
     except KeyError:
-        # each trial before the failing one popped one score
-        keys = [(t.enroll_id, t.test_id) for t in trials[:size - len(table) + 1]]
-        i, pair = len(keys), " ".join(keys[-1])
-        if keys[-1] in keys[:-1]:
-            raise DataError(f"trial {i}: repeats trial {keys.index(keys[-1]) + 1} "
-                            f"({pair})") from None
-        raise DataError(f"trial {i} ({pair}) has no score in {scores}") from None
+        i = size - len(table) + 1  # each trial before the failing one popped one score
+        bk.check_unique_trials(trials[:i])
+        raise DataError(f"trial {i} ({trials[i - 1].enroll_id} {trials[i - 1].test_id}) "
+                        f"has no score in {scores}") from None
     joined = np.array(values)
     target = np.array([t.target for t in trials], dtype=bool)
     return detection_metrics(joined[target], joined[~target], _project(config, DcfParams))
@@ -335,31 +327,15 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
-def _check_sweep(config: RunConfig, manifest: Manifest | None) -> None:
-    """Reject a heldout split the sweep cannot make, or an LDA size its PLDA
-    backend cannot fit, before anything is written. Without a manifest,
-    the corpus the config would generate is checked."""
-    counts = ([config.utterances_per_speaker] * config.num_speakers if manifest is None
-              else list(Counter(e.speaker_id for e in manifest).values()))
-    held, most = config.holdout_per_speaker, min(counts, default=0) - 1
-    if not 1 <= held <= most:
-        raise ConfigurationError(f"a sweep scores a heldout split: holdout_per_speaker must lie "
-                                 f"in [1, {most}], got {held}")
-    if config.scorer == "plda":
-        bk.check_lda_dim(config.lda_dim, sum(n - held >= 2 for n in counts), config.segment_width)
-
-
-def _run_system(config: RunConfig, manifest: Manifest, out: Path) -> MetricsReport:
-    """Train one system and evaluate it on held-out all-pairs trials, from
-    the scores as scores.txt holds them, so metrics.csv is what `evaluate
+def _run_system(config: RunConfig, train_part: Manifest, held_part: Manifest,
+                trials: list[bk.Trial], out: Path) -> MetricsReport:
+    """Train one system and evaluate it on the held-out trials, from the
+    scores as scores.txt holds them, so metrics.csv is what `evaluate
     --out` writes for the system's files."""
-    train_part = _split_manifest(manifest, config, "train")
-    held_part = _split_manifest(manifest, config, "heldout")
     model, _ = _train_system(config, train_part, out)
 
     held_vecs, held_spk = _extract_all(model, held_part, config)
     bk.write_embeddings(out / "embeddings.xveb", held_vecs, held_spk)
-    trials = bk.all_pairs_trials(held_spk)
     bk.write_trials(out / "trials.txt", trials)
     backend = None
     if config.scorer == "plda":
@@ -378,29 +354,40 @@ def _cmd_sweep(args) -> int:
         orders = [int(o) for o in args.orders.split(",")]
     except ValueError as err:
         raise UsageError(f"bad sweep grid: {err}") from None
-    # every system's config is checked before anything is written
+    # the split, and every system's config and model, are checked before
+    # anything is written; without --data, on the corpus the config generates
+    k = config.holdout_per_speaker
+    if args.data:
+        train_part, held_part = Manifest.load(Path(args.data) / "manifest.csv").split(k, least=1)
+        train_counts = list(Counter(e.speaker_id for e in train_part).values())
+    else:
+        check_holdout([config.utterances_per_speaker] * config.num_speakers, k, least=1)
+        train_counts = [config.utterances_per_speaker - k] * config.num_speakers
     systems: dict[str, RunConfig] = {}
     for order in orders:
         for alpha in alphas:
             sys_config = replace(config, mtl_order=0 if alpha == 0.0 else order,
                                  task_weight=alpha)
             sys_config.validate()
+            _project(sys_config, ModelConfig, num_speakers=len(train_counts)).validate()
             systems.setdefault(system_name(order, alpha), sys_config)
-    manifest = Manifest.load(Path(args.data) / "manifest.csv") if args.data else None
-    _check_sweep(config, manifest)
+    if config.scorer == "plda":
+        bk.check_lda_dim(config.lda_dim, train_counts, config.segment_width)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if manifest is None:
-        corpus_dir = out / "corpus"
-        log.info("no --data given; generating corpus into %s", corpus_dir)
-        manifest = generate_corpus(_project(config, CorpusSpec), corpus_dir)
+    if not args.data:
+        log.info("no --data given; generating corpus into %s", out / "corpus")
+        manifest = generate_corpus(_project(config, CorpusSpec), out / "corpus")
+        train_part, held_part = manifest.split(k, least=1)
+    trials = bk.all_pairs_trials({e.utt_id: e.speaker_id for e in held_part})
 
     results: list[tuple[str, MetricsReport]] = []
     for name, sys_config in systems.items():
         log.info("system %s (order %d, task weight %g, seed %d)", name,
                  sys_config.mtl_order, sys_config.task_weight, config.seed)
-        results.append((name, _run_system(sys_config, manifest, out / name)))
+        results.append((name, _run_system(sys_config, train_part, held_part, trials,
+                                          out / name)))
 
     header = results[0][1].format_table().split("\n")[0]
     rows = [("system", header)] + [(name, rep.format_table().split("\n")[1])
@@ -425,60 +412,48 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="xveckit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, **flag_specs) -> argparse.ArgumentParser:
+    def add(name: str, run, help_text: str, **flag_specs) -> None:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, help="override the base seed")
         for flag, spec in flag_specs.items():
             p.add_argument(flag, **spec)
-        return p
 
-    add("gen-data", "generate a synthetic corpus",
+    add("gen-data", _cmd_gen_data, "generate a synthetic corpus",
         **{"--out": dict(required=True, help="output corpus directory")})
-    add("train", "train one system",
+    add("train", _cmd_train, "train one system",
         **{"--data": dict(required=True, help="corpus directory (holds manifest.csv)"),
            "--out": dict(required=True, help="output directory for checkpoint and log"),
            "--alpha": dict(type=float, help="task weight override"),
            "--order": dict(type=int, help="statistics order override (0 = no head)")})
-    add("extract", "extract embeddings with a trained model",
+    add("extract", _cmd_extract, "extract embeddings with a trained model",
         **{"--model": dict(required=True, help="checkpoint path"),
            "--data": dict(required=True, help="corpus directory"),
            "--split": dict(choices=["train", "heldout", "all"], default="heldout"),
            "--out": dict(required=True, help="output embedding archive")})
-    add("train-backend", "fit centering, LDA, and PLDA on embeddings",
+    add("train-backend", _cmd_train_backend, "fit centering, LDA, and PLDA on embeddings",
         **{"--embeddings": dict(required=True, help="embedding archive"),
            "--lda-dim": dict(type=int, dest="lda_dim", help="LDA output dimension"),
            "--out": dict(required=True, help="output backend file")})
-    add("score", "score a trial list",
+    add("score", _cmd_score, "score a trial list",
         **{"--trials": dict(required=True, help="trial list file"),
            "--embeddings": dict(required=True, help="embedding archive"),
            "--backend": dict(help="backend file (enables LDA/PLDA chain)"),
            "--scorer": dict(choices=["cosine", "plda"], help="scoring rule"),
            "--out": dict(required=True, help="output score file")})
-    add("evaluate", "compute EER / minDCF / actDCF from scores",
+    add("evaluate", _cmd_evaluate, "compute EER / minDCF / actDCF from scores",
         **{"--scores": dict(required=True, help="score file"),
            "--trials": dict(required=True, help="trial list with labels"),
            "--out": dict(help="also write metric,value CSV here")})
-    add("gradcheck", "run the finite-difference self-check suite")
-    add("sweep", "train a grid of systems and print one comparison table",
+    add("gradcheck", _cmd_gradcheck, "run the finite-difference self-check suite")
+    add("sweep", _cmd_sweep, "train a grid of systems and print one comparison table",
         **{"--alphas": dict(default="0,0.3", help="comma list of task weights"),
            "--orders": dict(default="4", help="comma list of statistics orders"),
            "--data": dict(help="existing corpus directory (default: generate one)"),
            "--scorer": dict(choices=["cosine", "plda"], help="scoring rule"),
            "--out": dict(required=True, help="output directory")})
     return parser
-
-
-_COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "train": _cmd_train,
-    "extract": _cmd_extract,
-    "train-backend": _cmd_train_backend,
-    "score": _cmd_score,
-    "evaluate": _cmd_evaluate,
-    "gradcheck": _cmd_gradcheck,
-    "sweep": _cmd_sweep,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -492,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:  # --help
         return int(err.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ToolkitError, OSError) as err:
         log.error("%s", err)
         return 1

@@ -4,6 +4,8 @@ Feature files are little-endian binary: magic "XVF1", then u32 feature
 dim D, u32 frame count T, then T*D float32 values row-major. A corpus
 directory holds one file per utterance plus manifest.csv with columns
 utt_id,speaker_id,path,num_frames; paths are relative to the manifest.
+Manifest.split holds out the last k utterances of each speaker, within
+the one bound check_holdout states.
 
 The generator produces speakers that differ in location (mean), scale,
 and shape: per speaker a mean drawn from N(0, spread^2 I), per-dimension
@@ -20,7 +22,7 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "CorpusSpec",
     "ManifestEntry",
     "Manifest",
+    "check_holdout",
     "generate_corpus",
     "write_features",
     "read_features",
@@ -153,23 +156,22 @@ class Manifest:
                 f"{entry.path}: file holds {fm.num_frames} frames, manifest says {entry.num_frames}")
         return fm
 
-    def split(self, holdout_per_speaker: int) -> tuple["Manifest", "Manifest"]:
-        """Per speaker, keep the last k utterances (by id) for evaluation."""
-        if holdout_per_speaker < 0:
-            raise ConfigurationError(f"holdout_per_speaker must be >= 0, got {holdout_per_speaker}")
+    def split(self, k: int, least: int = 0) -> tuple["Manifest", "Manifest"]:
+        """Per speaker, hold out the last k utterances (by id) for
+        evaluation, within check_holdout's bound. k = 0 keeps the manifest
+        whole, in its own row order, and holds out nothing."""
         by_spk: dict[str, list[ManifestEntry]] = {}
         for e in self.entries:
             by_spk.setdefault(e.speaker_id, []).append(e)
+        check_holdout([len(utts) for utts in by_spk.values()], k, least)
+        if k == 0:
+            return self, Manifest([], self.base_dir)
         train: list[ManifestEntry] = []
         held: list[ManifestEntry] = []
         for spk in sorted(by_spk):
             utts = sorted(by_spk[spk], key=lambda e: e.utt_id)
-            if holdout_per_speaker >= len(utts):
-                raise ConfigurationError(
-                    f"holdout {holdout_per_speaker} >= {len(utts)} utterances of speaker {spk}")
-            cut = len(utts) - holdout_per_speaker
-            train.extend(utts[:cut])
-            held.extend(utts[cut:])
+            train.extend(utts[:-k])
+            held.extend(utts[-k:])
         return Manifest(train, self.base_dir), Manifest(held, self.base_dir)
 
     def save(self, path: Path | str) -> None:
@@ -197,6 +199,15 @@ class Manifest:
                     raise DataError(f"{path}:{lineno}: num_frames {row[3]!r} is not an integer")
                 entries.append(ManifestEntry(row[0], row[1], row[2], n))
         return cls(entries, base_dir=path.parent)
+
+
+def check_holdout(counts: Iterable[int], k: int, least: int) -> None:
+    """The held-out bound: every speaker, of `counts` utterances each, holds
+    out at least `least` and keeps at least one to train on. With no
+    speaker there is no upper bound."""
+    most = min(counts, default=k + 1) - 1
+    if not least <= k <= most:
+        raise ConfigurationError(f"holdout_per_speaker must lie in [{least}, {most}], got {k}")
 
 
 def write_features(path: Path | str, fm: FeatureMatrix) -> None:

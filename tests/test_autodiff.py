@@ -626,6 +626,22 @@ def test_optimizer_rejects_non_finite_gradient():
         adam(params, {"w": g}, state)
 
 
+def test_optimizer_non_finite_gradient_moves_nothing():
+    # every gradient is checked before any parameter, moment or the step count moves
+    params = {"a": Tensor(np.full(3, 1.0), requires_grad=True),
+              "b": Tensor(np.full(2, -2.0), requires_grad=True)}
+    state = OptimizerState(params)
+    adam(params, {"a": np.ones(3), "b": np.ones(2)}, state)
+    before = {name: (p.data.tobytes(), state.first_moment[name].tobytes(),
+                     state.second_moment[name].tobytes()) for name, p in params.items()}
+    with pytest.raises(TrainingDivergedError, match="parameter 'b'"):
+        adam(params, {"a": np.ones(3), "b": np.array([0.5, np.inf])}, state, weight_decay=0.1)
+    after = {name: (p.data.tobytes(), state.first_moment[name].tobytes(),
+                    state.second_moment[name].tobytes()) for name, p in params.items()}
+    assert after == before
+    assert state.step_count == 1
+
+
 def test_optimizer_rejects_unknown_parameter():
     params = make_param()
     state = OptimizerState(params)

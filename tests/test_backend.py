@@ -226,6 +226,30 @@ def test_lda_dim_bounds(lda_data):
             fit_preprocessor(x, labs, lda_dim=bad)
 
 
+def test_lda_ridge_rescues_a_constant_dimension(lda_data, caplog):
+    # a constant coordinate leaves the within-class scatter singular, not zero
+    x, labs = lda_data
+    x = x.copy()
+    x[:, 2] = 3.0
+    with caplog.at_level("WARNING"):
+        pre = fit_preprocessor(x, labs, lda_dim=4)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "adding ridge" in warnings[0]
+    assert np.isfinite(pre.projection).all() and pre.projection.shape == (4, x.shape[1])
+
+
+def test_lda_zero_within_scatter_raises_without_a_ridge(caplog):
+    # every speaker's embeddings identical (integers, so each class mean is
+    # exact): the scatter is 0, and so is any ridge of its scale
+    centers = np.random.default_rng(3).integers(-9, 10, size=(4, 5)).astype(float)
+    x = np.repeat(centers, 3, axis=0)
+    labs = [f"s{i // 3}" for i in range(12)]
+    with caplog.at_level("WARNING"), pytest.raises(
+            DataError, match="singular even after regularization"):
+        fit_preprocessor(x, labs, lda_dim=2)
+    assert not any("ridge" in r.getMessage() for r in caplog.records)
+
+
 def test_preprocessor_checks_input_dim(lda_data):
     x, labs = lda_data
     pre = fit_preprocessor(x, labs, lda_dim=3)
@@ -655,6 +679,14 @@ def test_embeddings_roundtrip(tmp_path):
     assert list(back_vecs) == list(vecs)
     for u in vecs:
         np.testing.assert_array_equal(back_vecs[u], vecs[u].astype(np.float32))
+
+
+def test_embeddings_reject_an_empty_archive(tmp_path):
+    # write_embeddings refuses to write one; a header counting 0 is malformed
+    (tmp_path / "e.xveb").write_bytes(b"XVEB" + (1).to_bytes(4, "little")
+                                      + (0).to_bytes(4, "little") + (4).to_bytes(4, "little"))
+    with pytest.raises(ParseError, match="e.xveb: the archive holds no embeddings"):
+        read_embeddings(tmp_path / "e.xveb")
 
 
 def test_embeddings_bad_magic(tmp_path):

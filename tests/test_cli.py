@@ -3,13 +3,15 @@
 import dataclasses
 import math
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from xveckit import backend
 from xveckit.backend import read_embeddings, write_embeddings
 from xveckit.cli import RunConfig, main, parse_config, serialize_config, system_name
-from xveckit.data import CorpusSpec
+from xveckit.data import CorpusSpec, Manifest
 from xveckit.errors import ConfigurationError
 from xveckit.metrics import DcfParams
 from xveckit.model import ModelConfig
@@ -417,6 +419,44 @@ def test_sweep_holdout_must_leave_training_utterances(workspace, tmp_path, caplo
     assert not out.exists()
 
 
+def test_sweep_checks_the_model_of_its_training_split(workspace, tmp_path, caplog):
+    # a corpus of one speaker splits fine, but no softmax has one class
+    root, cfg = workspace
+    corpus = tmp_path / "one"
+    shutil.copytree(root / "corpus", corpus)
+    rows = (corpus / "manifest.csv").read_text().splitlines(keepends=True)
+    (corpus / "manifest.csv").write_text("".join(
+        row for row in rows if not row.startswith("spk") or row.startswith("spk0000_")))
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--data", str(corpus), "--alphas", "0.3",
+                 "--orders", "4", "--out", str(out)]) == 1
+    assert "num_speakers must be >= 2, got 1" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given_data", [False, True], ids=["generated", "data"])
+def test_sweep_splits_once_and_lists_trials_once(workspace, tmp_path, monkeypatch, given_data):
+    root, cfg = workspace
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Manifest, "split", counted("split", Manifest.split))
+    monkeypatch.setattr(backend, "all_pairs_trials",
+                        counted("all_pairs_trials", backend.all_pairs_trials))
+    data = ["--data", str(root / "corpus")] if given_data else []
+    assert main(["sweep", "--config", str(cfg), *data, "--alphas", "0,0.3,1", "--orders", "4",
+                 "--out", str(tmp_path / "s")]) == 0
+    assert calls == {"split": 1, "all_pairs_trials": 1}
+    assert all((tmp_path / "s" / name / "trials.txt").read_bytes()
+               == (tmp_path / "s" / "baseline" / "trials.txt").read_bytes()
+               for name in ("MT-o4-a3", "MT-o4-a10"))
+
+
 def test_sweep_checks_lda_dim_before_training(tmp_path, caplog):
     # the PLDA backend is fit on 4 training speakers: LDA finds at most 3 directions
     cfg = tmp_path / "cfg.txt"
@@ -528,3 +568,51 @@ def test_non_finite_embedding_exits_one(workspace, tmp_path, caplog, command, va
                 "--embeddings", str(embeddings), "--out", str(tmp_path / "s.txt")]
     assert main(argv + ["--config", str(cfg)]) == 1
     assert f"non-finite value in the embedding of utterance '{bad_utt}'" in caplog.text
+
+
+def test_train_backend_rejects_an_empty_archive(workspace, tmp_path, caplog):
+    _, cfg = workspace
+    empty = tmp_path / "empty.xveb"
+    empty.write_bytes(b"XVEB" + (1).to_bytes(4, "little") + (0).to_bytes(4, "little")
+                      + (4).to_bytes(4, "little"))
+    assert main(["train-backend", "--config", str(cfg), "--embeddings", str(empty),
+                 "--out", str(tmp_path / "b.xvbk")]) == 1
+    assert "empty.xveb: the archive holds no embeddings" in caplog.text
+
+
+def test_train_backend_rejects_a_zero_within_speaker_scatter(workspace, tmp_path, caplog):
+    # each speaker's embeddings identical: no ridge can make LDA's scatter invertible
+    _, cfg = workspace
+    vectors = {f"u{i}": np.arange(8.0) ** (1 + i // 3) for i in range(12)}
+    write_embeddings(tmp_path / "e.xveb", vectors, {f"u{i}": f"s{i // 3}" for i in range(12)})
+    assert main(["train-backend", "--config", str(cfg), "--embeddings", str(tmp_path / "e.xveb"),
+                 "--out", str(tmp_path / "b.xvbk")]) == 1
+    assert "within-class scatter is singular even after regularization" in caplog.text
+    assert "ridge" not in caplog.text
+    assert not (tmp_path / "b.xvbk").exists()
+
+
+def test_extract_heldout_needs_a_holdout(workspace, tmp_path, caplog):
+    root, _ = workspace
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(MICRO + "holdout_per_speaker = 0\n")
+    argv = ["extract", "--config", str(cfg), "--model", str(root / "sys" / "model.ckpt"),
+            "--data", str(root / "corpus")]
+    assert main(argv + ["--split", "heldout", "--out", str(tmp_path / "h.xveb")]) == 1
+    assert "holdout_per_speaker must lie in [1, 7], got 0" in caplog.text
+    assert main(argv + ["--split", "train", "--out", str(tmp_path / "t.xveb")]) == 0
+    assert len(read_embeddings(tmp_path / "t.xveb")[0]) == 4 * 8
+
+
+def test_oversize_holdout_fails_every_split_but_all(workspace, tmp_path, caplog):
+    root, _ = workspace
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(MICRO + "holdout_per_speaker = 8\n")
+    extract = ["extract", "--config", str(cfg), "--model", str(root / "sys" / "model.ckpt"),
+               "--data", str(root / "corpus")]
+    assert main(extract + ["--split", "all", "--out", str(tmp_path / "a.xveb")]) == 0
+    assert len(read_embeddings(tmp_path / "a.xveb")[0]) == 4 * 8
+    assert main(extract + ["--split", "train", "--out", str(tmp_path / "t.xveb")]) == 1
+    assert main(["train", "--config", str(cfg), "--data", str(root / "corpus"),
+                 "--out", str(tmp_path / "sys")]) == 1
+    assert caplog.text.count("holdout_per_speaker must lie in [0, 7], got 8") == 2

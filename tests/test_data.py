@@ -256,6 +256,25 @@ def test_split_zero_keeps_everything(corpus):
     assert len(train) == len(manifest) and len(held) == 0
 
 
+def test_split_zero_keeps_row_order(corpus):
+    manifest, _ = corpus
+    reversed_rows = Manifest(manifest.entries[::-1], manifest.base_dir)
+    train, held = reversed_rows.split(0)
+    assert train.entries == reversed_rows.entries and len(held) == 0
+    with pytest.raises(ConfigurationError, match=r"must lie in \[1, 5\], got 0"):
+        reversed_rows.split(0, least=1)
+
+
+def test_check_holdout_states_the_bound():
+    # at least `least` held out, and one utterance left to train, per speaker
+    data.check_holdout([3, 5], 2, least=1)
+    for k in (0, 3):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^holdout_per_speaker must lie in \[1, 2\], got {k}$"):
+            data.check_holdout([3, 5], k, least=1)
+    data.check_holdout([], 0, least=0)  # no speaker, no upper bound
+
+
 # ---------------------------------------------------------------------------
 # energy VAD
 # ---------------------------------------------------------------------------
