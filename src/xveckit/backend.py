@@ -8,13 +8,24 @@ same-speaker against the different-speaker hypothesis.
 
 score_trials returns one float64 score per trial, in trial order: a PLDA
 log-likelihood ratio when given a PldaModel, a cosine similarity
-otherwise. It works per utterance, then per trial. Each utterance a
-trial list names is preprocessed and normalized once, and PLDA computes
-its quadratic form and its product with the cross matrix once; a trial
-is then a gather of its two rows and one dot product, so the cost is
-O(U d^2 + T d) for U utterances and T trials. A trial list that names
-one (enroll, test) pair twice is rejected by check_unique_trials, which
-evaluate uses too.
+otherwise. It works per utterance, then per block of trials. Each
+utterance a trial list names is preprocessed and normalized once, and
+PLDA computes its quadratic form and its product with the cross matrix
+once; the trials are then scored SCORE_BLOCK at a time, each a gather of
+its two rows and one dot product. So the cost is O(U d^2 + T d) time and
+O(U d + SCORE_BLOCK d) memory for U utterances and T trials, beside a
+few int and float columns of length T. A trial list that names one
+(enroll, test) pair twice is rejected by _check_unique, for score_trials
+and for trial_scores alike.
+
+Trial lists and score files are columns, not one object per trial.
+Trials holds the enroll and test ids and a bool target array, and reads
+as a sequence of Trial rows; Scores holds the ids and a float64 value
+array, and reads as a mapping (enroll, test) -> score. Either file is
+read once, the field count of every line is checked on the whole text,
+and the columns are slices of one split of it; only a malformed file is
+read again, line by line, to name its first bad line. trial_scores joins
+a score file to a trial list by integer pair codes, in any line order.
 
 LDA solves the generalized between/within eigenproblem by whitening the
 within-class scatter and taking the symmetric eigendecomposition
@@ -35,6 +46,8 @@ version through binio.Reader.header. Trial files are text lines
 from __future__ import annotations
 
 import logging
+import sys
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,8 +63,11 @@ __all__ = [
     "PldaModel",
     "fit_plda",
     "Trial",
+    "Trials",
+    "Scores",
+    "SCORE_BLOCK",
     "score_trials",
-    "check_unique_trials",
+    "trial_scores",
     "all_pairs_trials",
     "read_trials",
     "write_trials",
@@ -69,6 +85,9 @@ BACKEND_MAGIC = b"XVBK"
 BACKEND_VERSION = 1
 EMBEDDINGS_MAGIC = b"XVEB"
 EMBEDDINGS_VERSION = 1
+# Trials gathered and reduced at once when scoring, and lines formatted at
+# once when writing: the temporaries of score_trials are O(SCORE_BLOCK x d).
+SCORE_BLOCK = 1024
 
 
 def _inv(a: np.ndarray, what: str) -> np.ndarray:
@@ -153,8 +172,9 @@ def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocess
     scatter estimates with a warning. Scatters are population-normalized
     over the retained rows. The within-class scatter is probed with a
     Cholesky factorization; if that fails, a ridge of
-    1e-4 * trace/dim is added once and the fit retried. A scatter of
-    trace 0 (every speaker's embeddings identical) raises at once.
+    1e-4 * trace/dim is added once and the fit retried. A scatter whose
+    trace is at most float64 epsilon times the total scatter's (every
+    speaker's embeddings identical, up to rounding) raises at once.
     """
     stats = _class_stats(embeddings, labels, "LDA")
     x = stats.x
@@ -172,8 +192,11 @@ def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocess
     try:
         np.linalg.cholesky(s_within)
     except np.linalg.LinAlgError:
-        ridge = 1e-4 * np.trace(s_within) / d
-        if ridge > 0:  # a zero scatter has no scale to take a ridge from
+        trace = np.trace(s_within)
+        # a scatter at the rounding noise of the total one has no scale to
+        # take a ridge from
+        if trace > np.finfo(np.float64).eps * (trace + np.trace(s_between)):
+            ridge = 1e-4 * trace / d
             log.warning("LDA: within-class scatter not positive definite, adding ridge %.3e", ridge)
             s_within = s_within + ridge * np.eye(d)
         try:
@@ -316,12 +339,145 @@ class Trial:
     target: bool
 
 
-def _plda_scores(model: PldaModel, x: np.ndarray, enroll: np.ndarray,
-                 test: np.ndarray) -> np.ndarray:
-    """Closed-form same/different log-likelihood ratios of the trials
-    (x[enroll[i]], x[test[i]]): the quadratic forms and the cross
-    product's left factor once per row of x, then one gather and one dot
-    product per trial."""
+class Trials(Sequence):
+    """A trial list as columns: enroll ids, test ids and a bool target
+    array, in trial order. It reads as a sequence of Trial rows, each made
+    when it is asked for: len, an int index (a slice gives a Trials) and
+    iteration."""
+
+    def __init__(self, enroll: list[str], test: list[str], target: np.ndarray):
+        if not len(enroll) == len(test) == len(target):
+            raise ValueError(f"trial columns of lengths {len(enroll)}, {len(test)}, {len(target)}")
+        self.enroll, self.test, self.target = enroll, test, np.asarray(target, dtype=bool)
+
+    @classmethod
+    def of(cls, rows) -> Trials:
+        """`rows` as columns: a Trials as it is, other Trial rows copied."""
+        if isinstance(rows, Trials):
+            return rows
+        return cls([t.enroll_id for t in rows], [t.test_id for t in rows],
+                   np.array([t.target for t in rows], dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.enroll)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trials(self.enroll[i], self.test[i], self.target[i])
+        return Trial(self.enroll[i], self.test[i], bool(self.target[i]))
+
+    def __iter__(self):
+        return map(Trial, self.enroll, self.test, self.target.tolist())
+
+
+class Scores(Mapping):
+    """A score file as columns: enroll ids, test ids and a float64 value
+    array, one entry per line, in file order. It reads as a Mapping
+    (enroll, test) -> float, whose key index is built on the first key
+    lookup; the columns themselves need none."""
+
+    def __init__(self, enroll: list[str], test: list[str], value: np.ndarray):
+        self.enroll, self.test, self.value = enroll, test, value
+        self._index: dict[tuple[str, str], int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __iter__(self):
+        return zip(self.enroll, self.test)
+
+    def __getitem__(self, key: tuple[str, str]) -> float:
+        if self._index is None:
+            self._index = dict(zip(zip(self.enroll, self.test), range(len(self.value))))
+        return float(self.value[self._index[key]])
+
+
+def _id_rows(ids: list[str], *columns: list[str]) -> list[np.ndarray]:
+    """Each column's ids as rows of `ids`, which must hold them all."""
+    row = {u: i for i, u in enumerate(ids)}
+    return [np.fromiter(map(row.__getitem__, col), np.intp, len(col)) for col in columns]
+
+
+def _pair_codes(*columns: list[str]) -> list[np.ndarray]:
+    """One int code per (columns[2k][i], columns[2k + 1][i]) id pair, for
+    each column pair given: two pairs share a code iff their ids match."""
+    ids = sorted(set().union(*columns))
+    rows = _id_rows(ids, *columns)
+    return [first * len(ids) + second for first, second in zip(rows[0::2], rows[1::2])]
+
+
+def _first_repeat(codes: np.ndarray) -> tuple[int, int] | None:
+    """(i, j) for the first position i whose code an earlier position
+    holds, j the first such position; None if the codes are distinct."""
+    ranked = np.sort(codes)
+    if not (ranked[1:] == ranked[:-1]).any():
+        return None
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    i = int(order[1:][ranked[1:] == ranked[:-1]].min())
+    return i, int(order[np.searchsorted(ranked, codes[i])])
+
+
+def _check_unique(trials: Trials, codes: np.ndarray) -> None:
+    """Raise DataError naming the first trial that repeats an earlier
+    (enroll, test) pair, whatever the labels, from the trials' pair codes
+    (or those of the first trials)."""
+    repeat = _first_repeat(codes)
+    if repeat is not None:
+        i, j = repeat
+        raise DataError(f"trial {i + 1}: repeats trial {j + 1} ({trials.enroll[i]} {trials.test[i]})")
+
+
+def score_trials(trials: Trials | list[Trial], embeddings: dict[str, np.ndarray],
+                 preprocessor: Preprocessor | None = None, plda: PldaModel | None = None,
+                 length_norm: bool = True) -> np.ndarray:
+    """Score trials against an id -> vector table; float64, in trial order.
+
+    Each utterance the trials name is processed once: the chain is
+    preprocessor (if given), then length normalization, then the
+    scorer's per-utterance terms. The trials are then scored SCORE_BLOCK
+    at a time, each a gather of its two rows and one dot product. Without
+    `plda` the scores are cosine similarities, which always normalize;
+    with it they are PLDA log-likelihood ratios, and the length_norm flag
+    controls the normalization stage. Unknown trial ids, and a trial list
+    naming one (enroll, test) pair twice, raise DataError naming the first
+    trial at fault.
+    """
+    trials = Trials.of(trials)
+    if not len(trials):
+        raise DataError("empty trial list")
+    ids = sorted(set(trials.enroll).union(trials.test))
+    enroll, test = _id_rows(ids, trials.enroll, trials.test)
+    known = np.array([u in embeddings for u in ids])
+    if not known.all():
+        i = int(np.argmax(~known[enroll] | ~known[test]))
+        utt = trials.enroll[i] if not known[enroll[i]] else trials.test[i]
+        raise DataError(f"trial {i + 1}: no embedding for utterance '{utt}'")
+    _check_unique(trials, enroll * len(ids) + test)
+
+    x = np.stack([np.asarray(embeddings[u], dtype=np.float64) for u in ids])
+    if preprocessor is not None:
+        x = preprocessor.apply(x)
+    if plda is None or length_norm:
+        x = length_normalize(x)
+    if plda is None:
+        left, right = x, x
+    else:
+        enroll_term, test_term, left, right = _plda_terms(plda, x)
+    scores = np.empty(len(trials))
+    for lo in range(0, len(trials), SCORE_BLOCK):
+        e, t = enroll[lo:lo + SCORE_BLOCK], test[lo:lo + SCORE_BLOCK]
+        products = left[e]
+        products *= right[t]
+        dots = np.sum(products, axis=1)
+        scores[lo:lo + SCORE_BLOCK] = dots if plda is None else enroll_term[e] - test_term[t] - dots
+    return scores
+
+
+def _plda_terms(model: PldaModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-row terms of the closed-form same/different log-likelihood ratio
+    of rows e and t of x, const - q[e]/2 - q[t]/2 - a[e] . xc[t]: the enroll
+    term const - q/2, the test term q/2, then a and xc."""
     d = model.dim
     total = model.between + model.within
     lam = _inv(total, "total covariance")
@@ -333,124 +489,164 @@ def _plda_scores(model: PldaModel, x: np.ndarray, enroll: np.ndarray,
         raise DataError("PLDA covariances are not positive definite")
     const = -0.5 * (logdet_j - 2.0 * logdet_t)
     xc = x - model.mean
-    q = np.sum((xc @ (j_inv[:d, :d] - lam)) * xc, axis=1)
-    a = xc @ j_inv[:d, d:]
-    return const - 0.5 * q[enroll] - 0.5 * q[test] - np.sum(a[enroll] * xc[test], axis=1)
+    half_q = 0.5 * np.sum((xc @ (j_inv[:d, :d] - lam)) * xc, axis=1)
+    return const - half_q, half_q, xc @ j_inv[:d, d:], xc
 
 
-def score_trials(trials: list[Trial], embeddings: dict[str, np.ndarray],
-                 preprocessor: Preprocessor | None = None, plda: PldaModel | None = None,
-                 length_norm: bool = True) -> np.ndarray:
-    """Score trials against an id -> vector table; float64, in trial order.
-
-    Each utterance the trials name is processed once: the chain is
-    preprocessor (if given), then length normalization, then the
-    scorer's per-utterance terms. Each trial is then a gather of its two
-    rows and one dot product. Without `plda` the scores are cosine
-    similarities, which always normalize; with it they are PLDA
-    log-likelihood ratios, and the length_norm flag controls the
-    normalization stage. Unknown trial ids, and a trial list naming one
-    (enroll, test) pair twice, raise DataError naming the first trial
-    at fault.
-    """
-    if not trials:
-        raise DataError("empty trial list")
-    ids = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
-    if any(u not in embeddings for u in ids):
-        for i, trial in enumerate(trials, start=1):
-            for utt in (trial.enroll_id, trial.test_id):
-                if utt not in embeddings:
-                    raise DataError(f"trial {i}: no embedding for utterance '{utt}'")
-    row = {u: i for i, u in enumerate(ids)}
-    enroll = np.fromiter((row[t.enroll_id] for t in trials), dtype=np.intp, count=len(trials))
-    test = np.fromiter((row[t.test_id] for t in trials), dtype=np.intp, count=len(trials))
-    pairs = np.sort(enroll * len(ids) + test)
-    if (pairs[1:] == pairs[:-1]).any():
-        check_unique_trials(trials)
-
-    x = np.stack([np.asarray(embeddings[u], dtype=np.float64) for u in ids])
-    if preprocessor is not None:
-        x = preprocessor.apply(x)
-    if plda is None or length_norm:
-        x = length_normalize(x)
-    if plda is None:
-        return np.sum(x[enroll] * x[test], axis=1)
-    return _plda_scores(plda, x, enroll, test)
+def trial_scores(trials: Trials, scores: Scores, source: Path | str) -> np.ndarray:
+    """Each trial's score, matched by its (enroll, test) pair; scores of
+    pairs the trial list does not hold are ignored. Raises DataError
+    naming the first trial that repeats an earlier one or has no score in
+    `source`, whichever comes first."""
+    want, have = _pair_codes(trials.enroll, trials.test, scores.enroll, scores.test)
+    by_want, by_have = np.argsort(want), np.argsort(have)
+    at = np.empty_like(by_want)  # searched in sorted order, which keeps the search in cache
+    at[by_want] = by_have[np.minimum(np.searchsorted(have[by_have], want[by_want]), len(have) - 1)]
+    missing = have[at] != want
+    first_missing = int(np.argmax(missing)) if missing.any() else len(want)
+    _check_unique(trials, want[:first_missing])
+    if first_missing < len(want):
+        i = first_missing
+        raise DataError(f"trial {i + 1} ({trials.enroll[i]} {trials.test[i]}) "
+                        f"has no score in {source}")
+    return scores.value[at]
 
 
-def check_unique_trials(trials: list[Trial]) -> None:
-    """Raise DataError naming the first trial that repeats an earlier
-    (enroll, test) pair, whatever the labels."""
-    first: dict[tuple[str, str], int] = {}
-    for i, trial in enumerate(trials, start=1):
-        j = first.setdefault((trial.enroll_id, trial.test_id), i)
-        if j != i:
-            raise DataError(f"trial {i}: repeats trial {j} ({trial.enroll_id} {trial.test_id})")
-
-
-def all_pairs_trials(speaker_of: dict[str, str]) -> list[Trial]:
+def all_pairs_trials(speaker_of: dict[str, str]) -> Trials:
     """Every unordered pair of distinct utterances, labeled by speaker match."""
     ids = sorted(speaker_of)
     if len(ids) < 2:
         raise DataError("need at least 2 utterances to form trials")
-    return [Trial(a, b, speaker_of[a] == speaker_of[b])
-            for i, a in enumerate(ids) for b in ids[i + 1:]]
+    codes: dict[str, int] = {}
+    speaker = np.array([codes.setdefault(speaker_of[u], len(codes)) for u in ids])
+    first, second = np.triu_indices(len(ids), k=1)
+    names = np.array(ids, dtype=object)
+    return Trials(names[first].tolist(), names[second].tolist(),
+                  speaker[first] == speaker[second])
 
 
-def read_trials(path: Path | str) -> list[Trial]:
-    path = Path(path)
-    trials = []
+_ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
+
+
+def _three_fields_a_line(text: str) -> bool:
+    """Whether each line of `text` holds three fields or none, fields being
+    str.split's, without splitting a line."""
+    if text.isascii():
+        chars = np.frombuffer(text.encode("ascii"), np.uint8)
+        space = _ASCII_SPACE[chars]
+    else:
+        chars = np.frombuffer(text.encode("utf-32-le"), "<u4")
+        space = np.isin(chars, [c for c in np.unique(chars).tolist() if chr(c).isspace()])
+    newline = chars == ord("\n")
+    start = ~space
+    start[1:] &= space[:-1]
+    # in text order, a 0 byte per field start and a 1 per line end: every
+    # line reads 0001 or 1, so dropping each 0001 leaves no 0
+    events = newline[start | newline].tobytes() + b"\1"
+    return b"\0" not in events.replace(b"\0\0\0\1", b"\1")
+
+
+def _read_columns(path: Path) -> tuple[list[str], list[str], list[str]] | None:
+    """The three columns of a file of three-field lines, blank lines
+    skipped, from one read; None if some line holds another count."""
+    with binio.open_text(path) as fh:
+        text = fh.read()
+    if not _three_fields_a_line(text):
+        return None
+    fields = text.split()
+    del text
+    return fields[0::3], fields[1::3], fields[2::3]
+
+
+def _lines(path: Path, third: str):
+    """(line number, fields) of each non-blank line, read one at a time; a
+    line of other than three fields raises DataError naming it."""
     with binio.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
-            if len(parts) == 3 and parts[2] in ("target", "nontarget"):
-                trials.append(Trial(parts[0], parts[1], parts[2] == "target"))
-            elif len(parts) == 3:
-                raise DataError(f"{path}:{lineno}: label must be target|nontarget, got {parts[2]!r}")
+            if len(parts) == 3:
+                yield lineno, parts
             elif parts:
-                raise DataError(f"{path}:{lineno}: expected 'enroll test label', "
+                raise DataError(f"{path}:{lineno}: expected 'enroll test {third}', "
                                 f"got {line.strip()!r}")
-    if not trials:
-        raise DataError(f"{path}: no trials")
-    return trials
 
 
-def write_trials(path: Path | str, trials: list[Trial]) -> None:
-    with binio.atomic_write(path, "w") as fh:
-        for t in trials:
-            fh.write(f"{t.enroll_id} {t.test_id} {'target' if t.target else 'nontarget'}\n")
+def _interned(ids: list[str]) -> list[str]:
+    """One string object per distinct id, not one per line."""
+    return list(map(sys.intern, ids))
 
 
-def write_scores(path: Path | str, trials: list[Trial], scores: np.ndarray) -> None:
-    with binio.atomic_write(path, "w") as fh:
-        fh.write("".join([f"{trial.enroll_id} {trial.test_id} {score:.6f}\n"
-                          for trial, score in zip(trials, scores.tolist(), strict=True)]))
+_LABELS = ("nontarget", "target")
 
 
-def read_scores(path: Path | str) -> dict[tuple[str, str], float]:
-    """Trial (enroll, test) -> score. A trial scored on two lines raises
-    DataError naming the second."""
+def read_trials(path: Path | str) -> Trials:
+    """A trial file as columns. The file is read once and checked as a
+    whole; only a malformed one is read again, line by line, to name its
+    first bad line."""
     path = Path(path)
-    scores: dict[tuple[str, str], float] = {}
-    with binio.open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'enroll test score', "
-                                f"got {line.strip()!r}")
+    columns = _read_columns(path)
+    if columns is None or not set(columns[2]) <= set(_LABELS):
+        columns = [], [], []
+        for lineno, (enroll, test, label) in _lines(path, "label"):
+            if label not in _LABELS:
+                raise DataError(f"{path}:{lineno}: label must be target|nontarget, got {label!r}")
+            for column, field in zip(columns, (enroll, test, label)):
+                column.append(field)
+    enroll, test, labels = columns
+    if not labels:
+        raise DataError(f"{path}: no trials")
+    return Trials(_interned(enroll), _interned(test),
+                  np.fromiter(map("target".__eq__, labels), bool, len(labels)))
+
+
+def write_trials(path: Path | str, trials: Trials | list[Trial]) -> None:
+    trials = Trials.of(trials)
+    with binio.atomic_write(path, "w") as fh:
+        for lo in range(0, len(trials), SCORE_BLOCK):
+            hi = lo + SCORE_BLOCK
+            fh.write("".join([f"{e} {t} {_LABELS[target]}\n" for e, t, target in zip(
+                trials.enroll[lo:hi], trials.test[lo:hi], trials.target[lo:hi].tolist())]))
+
+
+def write_scores(path: Path | str, trials: Trials | list[Trial], scores: np.ndarray) -> None:
+    trials = Trials.of(trials)
+    if len(scores) != len(trials):
+        raise ValueError(f"{len(scores)} scores for {len(trials)} trials")
+    with binio.atomic_write(path, "w") as fh:
+        for lo in range(0, len(trials), SCORE_BLOCK):
+            hi = lo + SCORE_BLOCK
+            fh.write("".join([f"{e} {t} {score:.6f}\n" for e, t, score in zip(
+                trials.enroll[lo:hi], trials.test[lo:hi], scores[lo:hi].tolist())]))
+
+
+def read_scores(path: Path | str) -> Scores:
+    """A score file as columns. A trial scored on two lines raises
+    DataError naming the second. The file is read once and checked as a
+    whole; only a malformed one is read again, line by line, to name its
+    first bad line."""
+    path = Path(path)
+    columns = _read_columns(path)
+    if columns is not None:
+        try:
+            value = np.fromiter(map(float, columns[2]), np.float64, len(columns[2]))
+        except ValueError:
+            columns = None
+    if columns is None or _first_repeat(*_pair_codes(columns[0], columns[1])) is not None:
+        columns, seen = ([], [], []), set()
+        for lineno, (enroll, test, text) in _lines(path, "score"):
             try:
-                value = float(parts[2])
+                score = float(text)
             except ValueError:
-                raise DataError(f"{path}:{lineno}: bad score {parts[2]!r}") from None
-            key = (parts[0], parts[1])
-            if key in scores:
-                raise DataError(f"{path}:{lineno}: a second score for trial {key[0]} {key[1]}")
-            scores[key] = value
-    if not scores:
+                raise DataError(f"{path}:{lineno}: bad score {text!r}") from None
+            if (enroll, test) in seen:
+                raise DataError(f"{path}:{lineno}: a second score for trial {enroll} {test}")
+            seen.add((enroll, test))
+            for column, field in zip(columns, (enroll, test, score)):
+                column.append(field)
+        value = np.array(columns[2], dtype=np.float64)
+    if not len(value):
         raise DataError(f"{path}: no scores")
-    return scores
+    return Scores(_interned(columns[0]), _interned(columns[1]), value)
 
 
 def save_backend(path: Path | str, preprocessor: Preprocessor,

@@ -33,7 +33,7 @@ import numpy as np
 from . import backend as bk
 from . import binio
 from .data import CorpusSpec, Manifest, check_holdout, energy_vad, generate_corpus
-from .errors import ConfigurationError, DataError, ToolkitError, UsageError
+from .errors import ConfigurationError, ToolkitError, UsageError
 from .metrics import DcfParams, MetricsReport, detection_metrics
 from .model import (
     EpochStats,
@@ -230,7 +230,7 @@ def _fit_backend(config: RunConfig, vectors: dict[str, np.ndarray],
     return plda
 
 
-def _score(config: RunConfig, trials: list[bk.Trial], vectors: dict[str, np.ndarray],
+def _score(config: RunConfig, trials: bk.Trials, vectors: dict[str, np.ndarray],
            backend: Path | str | None, out: Path | str) -> None:
     """Score trials with config.scorer, through `backend` if given; write `out`."""
     pre, plda, length_norm = bk.load_backend(backend) if backend else (None, None, True)
@@ -287,20 +287,11 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _evaluate(config: RunConfig, trials: list[bk.Trial], scores: Path | str) -> MetricsReport:
+def _evaluate(config: RunConfig, trials: bk.Trials, scores: Path | str) -> MetricsReport:
     """Detection metrics of `trials` over the scores as the score file holds them."""
-    table = bk.read_scores(scores)
-    size = len(table)
-    try:
-        values = [table.pop((t.enroll_id, t.test_id)) for t in trials]
-    except KeyError:
-        i = size - len(table) + 1  # each trial before the failing one popped one score
-        bk.check_unique_trials(trials[:i])
-        raise DataError(f"trial {i} ({trials[i - 1].enroll_id} {trials[i - 1].test_id}) "
-                        f"has no score in {scores}") from None
-    joined = np.array(values)
-    target = np.array([t.target for t in trials], dtype=bool)
-    return detection_metrics(joined[target], joined[~target], _project(config, DcfParams))
+    joined = bk.trial_scores(trials, bk.read_scores(scores), scores)
+    return detection_metrics(joined[trials.target], joined[~trials.target],
+                             _project(config, DcfParams))
 
 
 def _cmd_evaluate(args) -> int:
@@ -328,7 +319,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _run_system(config: RunConfig, train_part: Manifest, held_part: Manifest,
-                trials: list[bk.Trial], out: Path) -> MetricsReport:
+                trials: bk.Trials, out: Path) -> MetricsReport:
     """Train one system and evaluate it on the held-out trials, from the
     scores as scores.txt holds them, so metrics.csv is what `evaluate
     --out` writes for the system's files."""

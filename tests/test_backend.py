@@ -250,6 +250,18 @@ def test_lda_zero_within_scatter_raises_without_a_ridge(caplog):
     assert not any("ridge" in r.getMessage() for r in caplog.records)
 
 
+def test_lda_within_scatter_at_rounding_noise_raises_without_a_ridge(caplog):
+    # every speaker's embeddings identical, in float64: the class means differ
+    # from their rows in the last bit, so the scatter's trace is about 1e-33,
+    # not 0, and a ridge of its scale whitens rounding noise
+    x = np.repeat(np.random.default_rng(3).normal(size=(4, 5)), 3, axis=0)
+    labs = [f"s{i // 3}" for i in range(12)]
+    with caplog.at_level("WARNING"), pytest.raises(
+            DataError, match="singular even after regularization"):
+        fit_preprocessor(x, labs, lda_dim=2)
+    assert not any("ridge" in r.getMessage() for r in caplog.records)
+
+
 def test_preprocessor_checks_input_dim(lda_data):
     x, labs = lda_data
     pre = fit_preprocessor(x, labs, lda_dim=3)
@@ -522,6 +534,96 @@ def test_plda_scoring_memory_is_a_few_trial_matrices():
     assert peak < 3.5 * n_trials * dim * 8
 
 
+def _unblocked_scores(trials, table, plda):
+    """score_trials' per-utterance formula over every trial at once: the
+    same rows (sorted ids, length-normalized), gathered as [T, d] matrices."""
+    ids = sorted(table)
+    row = {u: i for i, u in enumerate(ids)}
+    e = np.array([row[u] for u in trials.enroll])
+    t = np.array([row[u] for u in trials.test])
+    x = length_normalize(np.stack([table[u] for u in ids]))
+    if plda is None:
+        return np.sum(x[e] * x[t], axis=1)
+    d = plda.dim
+    total = plda.between + plda.within
+    joint = np.block([[total, plda.between], [plda.between, total]])
+    j_inv = np.linalg.inv(joint)
+    const = -0.5 * (np.linalg.slogdet(joint)[1] - 2.0 * np.linalg.slogdet(total)[1])
+    xc = x - plda.mean
+    q = np.sum((xc @ (j_inv[:d, :d] - np.linalg.inv(total))) * xc, axis=1)
+    a = xc @ j_inv[:d, d:]
+    return const - 0.5 * q[e] - 0.5 * q[t] - np.sum(a[e] * xc[t], axis=1)
+
+
+@pytest.mark.parametrize("kind", ["cosine", "plda"])
+def test_blocked_scores_are_bitwise_the_unblocked_formula(kind):
+    # more than 2.5 blocks, so there are full blocks and a partial last one
+    rng = np.random.default_rng(11)
+    dim, n_utts = 7, 120
+    n_trials = int(2.5 * backend.SCORE_BLOCK) + 13
+    table = {f"u{i:03d}": rng.standard_normal(dim) for i in range(n_utts)}
+    ids = list(table)
+    pairs = rng.choice(n_utts * n_utts, size=n_trials, replace=False)
+    trials = backend.Trials([ids[p // n_utts] for p in pairs], [ids[p % n_utts] for p in pairs],
+                            rng.integers(2, size=n_trials).astype(bool))
+    plda = (None if kind == "cosine" else
+            PldaModel(mean=rng.standard_normal(dim) * 0.1, between=_random_spd(rng, dim),
+                      within=_random_spd(rng, dim)))
+    scores = score_trials(trials, table, plda=plda)
+    want = _unblocked_scores(trials, table, plda)
+    assert scores.tobytes() == want.tobytes()
+
+
+def test_plda_scoring_memory_does_not_grow_with_trials_times_dim():
+    # Peak memory of score_trials above its inputs at T = 20,000 and 80,000
+    # trials of d = 64. Gathers in blocks of SCORE_BLOCK trials do not grow
+    # with T; what does is a few int and float columns of length T (trial
+    # rows, pair codes, the scores). Gathering [T, d] matrices would add
+    # d * 8 = 512 bytes per trial for each matrix.
+    rng = np.random.default_rng(5)
+    dim = 64
+    table = {f"u{i:03d}": rng.standard_normal(dim) for i in range(400)}
+    ids = list(table)
+    plda = PldaModel(mean=np.zeros(dim), between=_random_spd(rng, dim),
+                     within=_random_spd(rng, dim))
+    peaks = {}
+    for n_trials in (20_000, 80_000):
+        pairs = rng.choice(400 * 400, size=n_trials, replace=False)
+        trials = backend.Trials([ids[p // 400] for p in pairs], [ids[p % 400] for p in pairs],
+                                np.zeros(n_trials, dtype=bool))
+        tracemalloc.start()
+        try:
+            score_trials(trials, table, plda=plda)
+            _, peaks[n_trials] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    per_trial = (peaks[80_000] - peaks[20_000]) / 60_000
+    assert per_trial < 8 * 8  # under eight 8-byte columns, not d-wide rows
+
+
+def test_trials_read_as_a_sequence_of_rows():
+    trials = backend.Trials(["a", "a", "b"], ["b", "c", "c"], np.array([True, False, False]))
+    assert len(trials) == 3
+    assert trials[0] == Trial("a", "b", True)
+    assert trials[np.int64(1)] == Trial("a", "c", False) and trials[-1] == Trial("b", "c", False)
+    assert type(trials[0].target) is bool
+    assert list(trials) == [Trial("a", "b", True), Trial("a", "c", False), Trial("b", "c", False)]
+    assert list(trials[1:]) == list(trials)[1:]
+    with pytest.raises(IndexError):
+        trials[3]
+
+
+def test_scores_read_as_a_mapping(tmp_path):
+    p = tmp_path / "s.txt"
+    p.write_text("a b 0.5\nb a -1.25\n")
+    scores = read_scores(p)
+    assert scores.enroll == ["a", "b"] and scores.test == ["b", "a"]
+    assert scores.value.dtype == np.float64 and scores.value.tolist() == [0.5, -1.25]
+    assert len(scores) == 2 and list(scores) == [("a", "b"), ("b", "a")]
+    assert scores[("b", "a")] == -1.25 and ("a", "a") not in scores
+    assert dict(scores) == {("a", "b"): 0.5, ("b", "a"): -1.25}
+
+
 def test_all_pairs_trials():
     trials = all_pairs_trials({"u2": "s1", "u1": "s1", "u3": "s2"})
     assert [(t.enroll_id, t.test_id, t.target) for t in trials] == [
@@ -535,7 +637,7 @@ def test_all_pairs_trials():
 def test_trials_roundtrip(tmp_path):
     trials = [Trial("u1", "u2", True), Trial("u1", "u3", False)]
     write_trials(tmp_path / "t.txt", trials)
-    assert read_trials(tmp_path / "t.txt") == trials
+    assert list(read_trials(tmp_path / "t.txt")) == trials
 
 
 def test_trials_reject_malformed(tmp_path):
@@ -565,9 +667,63 @@ def test_scores_reject_a_trial_scored_twice(tmp_path):
 
 def test_scores_and_trials_skip_blank_lines(tmp_path):
     (tmp_path / "t.txt").write_text("\nu1 u2 target\n  \t\nu1 u3 nontarget\n\n")
-    assert read_trials(tmp_path / "t.txt") == [Trial("u1", "u2", True), Trial("u1", "u3", False)]
+    assert list(read_trials(tmp_path / "t.txt")) == [Trial("u1", "u2", True),
+                                                    Trial("u1", "u3", False)]
     (tmp_path / "s.txt").write_text("\nu1 u2 0.5\n \nu1 u3 -1.25\n")
     assert read_scores(tmp_path / "s.txt") == {("u1", "u2"): 0.5, ("u1", "u3"): -1.25}
+
+
+def test_crlf_files_read_as_lf_files(tmp_path):
+    for name, text in (("t", "u1 u2 target\nu1 u3 nontarget\n"), ("s", "u1 u2 0.5\nu1 u3 -1.25\n")):
+        (tmp_path / f"{name}-lf.txt").write_bytes(text.encode())
+        (tmp_path / f"{name}-crlf.txt").write_bytes(text.replace("\n", "\r\n").encode())
+    assert list(read_trials(tmp_path / "t-crlf.txt")) == list(read_trials(tmp_path / "t-lf.txt"))
+    assert read_scores(tmp_path / "s-crlf.txt") == read_scores(tmp_path / "s-lf.txt")
+
+
+def test_a_bad_line_after_blank_lines_is_named_by_its_line_number(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("\n\nu1 u2 target\n \n\nu1 u3\nu2 u3 target\n")
+    with pytest.raises(DataError, match=r"t\.txt:6: expected 'enroll test label'"):
+        read_trials(p)
+    p.write_text("\nu1 u2 target\n\nu1 u3 maybe\n")
+    with pytest.raises(DataError, match=r"t\.txt:4: label must be target\|nontarget"):
+        read_trials(p)
+    p = tmp_path / "s.txt"
+    p.write_text("\n\na b 0.5\n\na c 0.1 extra\n")
+    with pytest.raises(DataError, match=r"s\.txt:5: expected 'enroll test score'"):
+        read_scores(p)
+    p.write_text("\na b 0.5\n\t\na c zero\n")
+    with pytest.raises(DataError, match=r"s\.txt:4: bad score 'zero'"):
+        read_scores(p)
+
+
+def test_files_with_other_whitespace_read_as_line_splits_do(tmp_path):
+    # str.split separates fields at any Unicode whitespace; lines end at \n,
+    # \r\n or \r only, so \x1c or U+2028 inside a line separates fields
+    p = tmp_path / "t.txt"
+    p.write_text("\u00fc1\u3000u2 target\nu1\x1cu3\tnontarget\nu2 u3\u2028target\n",
+                 encoding="utf-8")
+    assert list(read_trials(p)) == [Trial("\u00fc1", "u2", True), Trial("u1", "u3", False),
+                                    Trial("u2", "u3", True)]
+    p.write_text("u1 u2 target\nu1\u00a0u3 x nontarget\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"t\.txt:2: expected"):
+        read_trials(p)
+
+
+def test_field_count_check_matches_a_split_of_every_line():
+    # the whole-text check against the per-line rule it stands for, on
+    # random texts of fields, spaces of several kinds and line ends
+    rng = np.random.default_rng(2)
+    pieces = ["a", "bb", "\u00e9", " ", " ", "\t", "\x0b", "\x1c", "\u00a0", "\u3000",
+              "\u2028", "\r", "\n", "\n"]
+    verdicts = set()
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces, size=int(rng.integers(0, 16))))
+        want = all(len(line.split()) in (0, 3) for line in text.split("\n"))
+        assert backend._three_fields_a_line(text) == want, repr(text)
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_backend_roundtrip_with_plda(tmp_path, plda_truth):

@@ -291,6 +291,26 @@ def test_evaluate_names_the_first_trial_without_a_score(workspace, tmp_path, cap
     assert "trial 3 (u0 u3) has no score in" in caplog.text
 
 
+def test_evaluate_joins_scores_by_pair_not_by_line(workspace, tmp_path):
+    # a score file in another order than the trial list, holding scores of
+    # pairs the list does not name, evaluates to the same bytes
+    _, cfg = workspace
+    rng = np.random.default_rng(8)
+    trials = backend.all_pairs_trials({f"u{i}": f"s{i // 3}" for i in range(9)})
+    backend.write_trials(tmp_path / "trials.txt", trials)
+    lines = [f"{t.enroll_id} {t.test_id} {v:.6f}\n"
+             for t, v in zip(trials, rng.standard_normal(len(trials)))]
+    shuffled = [lines[i] for i in rng.permutation(len(lines))]
+    (tmp_path / "in_order.txt").write_text("".join(lines))
+    (tmp_path / "shuffled.txt").write_text(
+        "".join(shuffled[:5] + ["u1 u0 9.5\n", "u0 ghost -3.0\n"] + shuffled[5:]))
+    for name in ("in_order", "shuffled"):
+        assert main(["evaluate", "--config", str(cfg), "--scores", str(tmp_path / f"{name}.txt"),
+                     "--trials", str(tmp_path / "trials.txt"),
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert (tmp_path / "shuffled.csv").read_bytes() == (tmp_path / "in_order.csv").read_bytes()
+
+
 def test_unknown_flag_exits_with_usage_error(workspace):
     _, cfg = workspace
     assert main(["gen-data", "--config", str(cfg), "--frobnicate"]) == 1
