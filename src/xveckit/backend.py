@@ -16,16 +16,19 @@ its two rows and one dot product. So the cost is O(U d^2 + T d) time and
 O(U d + SCORE_BLOCK d) memory for U utterances and T trials, beside a
 few int and float columns of length T. A trial list that names one
 (enroll, test) pair twice is rejected by _check_unique, for score_trials
-and for trial_scores alike.
+and for trial_scores alike; (a, b) and (b, a) are two trials.
 
-Trial lists and score files are columns, not one object per trial.
-Trials holds the enroll and test ids and a bool target array, and reads
-as a sequence of Trial rows; Scores holds the ids and a float64 value
-array, and reads as a mapping (enroll, test) -> score. Either file is
-read once, the field count of every line is checked on the whole text,
-and the columns are slices of one split of it; only a malformed file is
-read again, line by line, to name its first bad line. trial_scores joins
-a score file to a trial list by integer pair codes, in any line order.
+Trial lists and score files are id rows, not one object per trial: a
+table of the distinct ids and, per trial, the rows of its enroll and
+test ids in it. Trials adds a bool target array and reads as a sequence
+of Trial rows; Scores adds a float64 value array and reads as a mapping
+(enroll, test) -> score. Either file is read READ_BLOCK bytes at a time,
+cut back to whole lines: the field count of each line of a block is
+checked with numpy on its character codes, and its fields become rows of
+the file's one id table and its third column. Only a malformed file is
+read again, line by line, to name its first bad line. trial_scores maps
+a score file's table into the trial list's and joins the two by integer
+pair codes, in any line order.
 
 LDA solves the generalized between/within eigenproblem by whitening the
 within-class scatter and taking the symmetric eigendecomposition
@@ -45,11 +48,12 @@ version through binio.Reader.header. Trial files are text lines
 
 from __future__ import annotations
 
+import itertools
 import logging
-import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -66,6 +70,7 @@ __all__ = [
     "Trials",
     "Scores",
     "SCORE_BLOCK",
+    "READ_BLOCK",
     "score_trials",
     "trial_scores",
     "all_pairs_trials",
@@ -88,6 +93,10 @@ EMBEDDINGS_VERSION = 1
 # Trials gathered and reduced at once when scoring, and lines formatted at
 # once when writing: the temporaries of score_trials are O(SCORE_BLOCK x d).
 SCORE_BLOCK = 1024
+# Bytes of a trial or score file read at once, cut back to the last whole
+# line: a read holds O(READ_BLOCK) text and fields at a time, beside its
+# id table and a few int and float columns of length T.
+READ_BLOCK = 1 << 16
 
 
 def _inv(a: np.ndarray, what: str) -> np.ndarray:
@@ -340,70 +349,86 @@ class Trial:
 
 
 class Trials(Sequence):
-    """A trial list as columns: enroll ids, test ids and a bool target
-    array, in trial order. It reads as a sequence of Trial rows, each made
-    when it is asked for: len, an int index (a slice gives a Trials) and
-    iteration."""
+    """A trial list as id rows: a table of ids, the rows of each trial's
+    enroll and test ids in it (int arrays) and a bool target array, in
+    trial order. It reads as a sequence of Trial rows, each made when it is
+    asked for: len, an int index (a slice gives a Trials on the same table)
+    and iteration."""
 
-    def __init__(self, enroll: list[str], test: list[str], target: np.ndarray):
+    def __init__(self, ids: list[str], enroll: np.ndarray, test: np.ndarray, target: np.ndarray):
         if not len(enroll) == len(test) == len(target):
             raise ValueError(f"trial columns of lengths {len(enroll)}, {len(test)}, {len(target)}")
-        self.enroll, self.test, self.target = enroll, test, np.asarray(target, dtype=bool)
+        self.ids = ids
+        self.enroll, self.test = np.asarray(enroll, dtype=np.intp), np.asarray(test, dtype=np.intp)
+        self.target = np.asarray(target, dtype=bool)
+        self._by_index: tuple[list, list, list] | None = None
 
     @classmethod
     def of(cls, rows) -> Trials:
-        """`rows` as columns: a Trials as it is, other Trial rows copied."""
+        """`rows` as id rows: a Trials as it is, other Trial rows coded."""
         if isinstance(rows, Trials):
             return rows
-        return cls([t.enroll_id for t in rows], [t.test_id for t in rows],
-                   np.array([t.target for t in rows], dtype=bool))
+        table: dict[str, int] = {}
+        enroll = _rows(table, [t.enroll_id for t in rows])
+        test = _rows(table, [t.test_id for t in rows])
+        return cls(list(table), enroll, test, np.array([t.target for t in rows], dtype=bool))
 
     def __len__(self) -> int:
-        return len(self.enroll)
+        return len(self.target)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Trials(self.enroll[i], self.test[i], self.target[i])
-        return Trial(self.enroll[i], self.test[i], bool(self.target[i]))
+            return Trials(self.ids, self.enroll[i], self.test[i], self.target[i])
+        if self._by_index is None:  # rows asked for one by one are named all at once
+            self._by_index = (*_named(self.ids, self.enroll, self.test), self.target.tolist())
+        enroll, test, target = self._by_index
+        return Trial(enroll[i], test[i], target[i])
 
     def __iter__(self):
-        return map(Trial, self.enroll, self.test, self.target.tolist())
+        return map(Trial, *_named(self.ids, self.enroll, self.test), self.target.tolist())
 
 
 class Scores(Mapping):
-    """A score file as columns: enroll ids, test ids and a float64 value
-    array, one entry per line, in file order. It reads as a Mapping
-    (enroll, test) -> float, whose key index is built on the first key
-    lookup; the columns themselves need none."""
+    """A score file as id rows: a table of ids, the rows of each line's
+    enroll and test ids in it and a float64 value array, in file order. It
+    reads as a Mapping (enroll, test) -> float, whose key index is built on
+    the first key lookup; the rows themselves need none. The index maps an
+    enroll id to a dict of its test ids' scores: no tuple per key."""
 
-    def __init__(self, enroll: list[str], test: list[str], value: np.ndarray):
-        self.enroll, self.test, self.value = enroll, test, value
-        self._index: dict[tuple[str, str], int] | None = None
+    def __init__(self, ids: list[str], enroll: np.ndarray, test: np.ndarray, value: np.ndarray):
+        self.ids, self.enroll, self.test, self.value = ids, enroll, test, value
+        self._index: dict[str, dict[str, float]] | None = None
 
     def __len__(self) -> int:
         return len(self.value)
 
     def __iter__(self):
-        return zip(self.enroll, self.test)
+        return zip(*_named(self.ids, self.enroll, self.test))
 
     def __getitem__(self, key: tuple[str, str]) -> float:
         if self._index is None:
-            self._index = dict(zip(zip(self.enroll, self.test), range(len(self.value))))
-        return float(self.value[self._index[key]])
+            self._index = {}
+            for enroll, test, value in zip(*_named(self.ids, self.enroll, self.test),
+                                           self.value.tolist()):
+                self._index.setdefault(enroll, {})[test] = value
+        enroll, test = key
+        return self._index[enroll][test]
 
 
-def _id_rows(ids: list[str], *columns: list[str]) -> list[np.ndarray]:
-    """Each column's ids as rows of `ids`, which must hold them all."""
-    row = {u: i for i, u in enumerate(ids)}
-    return [np.fromiter(map(row.__getitem__, col), np.intp, len(col)) for col in columns]
+def _rows(table: dict[str, int], column: list[str]) -> np.ndarray:
+    """The row of each id of `column` in `table`, which takes the ids it
+    lacks as new rows, in sorted order."""
+    try:
+        return np.fromiter(map(table.__getitem__, column), np.intp, len(column))
+    except KeyError:  # only a column with new ids pays for a set of its ids
+        table.update(zip(sorted(set(column).difference(table)), itertools.count(len(table))))
+        return _rows(table, column)
 
 
-def _pair_codes(*columns: list[str]) -> list[np.ndarray]:
-    """One int code per (columns[2k][i], columns[2k + 1][i]) id pair, for
-    each column pair given: two pairs share a code iff their ids match."""
-    ids = sorted(set().union(*columns))
-    rows = _id_rows(ids, *columns)
-    return [first * len(ids) + second for first, second in zip(rows[0::2], rows[1::2])]
+def _named(ids: list[str], *rows: np.ndarray) -> list[list[str]]:
+    """Each array of rows as the ids it names."""
+    names = np.array(ids, dtype=object)
+    return [names[r].tolist() for r in rows]
 
 
 def _first_repeat(codes: np.ndarray) -> tuple[int, int] | None:
@@ -425,7 +450,8 @@ def _check_unique(trials: Trials, codes: np.ndarray) -> None:
     repeat = _first_repeat(codes)
     if repeat is not None:
         i, j = repeat
-        raise DataError(f"trial {i + 1}: repeats trial {j + 1} ({trials.enroll[i]} {trials.test[i]})")
+        t = trials[i]
+        raise DataError(f"trial {i + 1}: repeats trial {j + 1} ({t.enroll_id} {t.test_id})")
 
 
 def score_trials(trials: Trials | list[Trial], embeddings: dict[str, np.ndarray],
@@ -433,25 +459,31 @@ def score_trials(trials: Trials | list[Trial], embeddings: dict[str, np.ndarray]
                  length_norm: bool = True) -> np.ndarray:
     """Score trials against an id -> vector table; float64, in trial order.
 
-    Each utterance the trials name is processed once: the chain is
-    preprocessor (if given), then length normalization, then the
-    scorer's per-utterance terms. The trials are then scored SCORE_BLOCK
-    at a time, each a gather of its two rows and one dot product. Without
-    `plda` the scores are cosine similarities, which always normalize;
-    with it they are PLDA log-likelihood ratios, and the length_norm flag
-    controls the normalization stage. Unknown trial ids, and a trial list
-    naming one (enroll, test) pair twice, raise DataError naming the first
-    trial at fault.
+    Each utterance the trials name is processed once, in sorted id order:
+    the chain is preprocessor (if given), then length normalization, then
+    the scorer's per-utterance terms. The trials are then scored
+    SCORE_BLOCK at a time, each a gather of its two rows and one dot
+    product. Without `plda` the scores are cosine similarities, which
+    always normalize; with it they are PLDA log-likelihood ratios, and the
+    length_norm flag controls the normalization stage. Unknown trial ids,
+    and a trial list naming one (enroll, test) pair twice, raise DataError
+    naming the first trial at fault. (a, b) and (b, a) are two trials,
+    though both scorers give them one score.
     """
     trials = Trials.of(trials)
     if not len(trials):
         raise DataError("empty trial list")
-    ids = sorted(set(trials.enroll).union(trials.test))
-    enroll, test = _id_rows(ids, trials.enroll, trials.test)
+    used = np.zeros(len(trials.ids), dtype=bool)
+    used[trials.enroll] = used[trials.test] = True
+    rows = sorted(np.flatnonzero(used).tolist(), key=trials.ids.__getitem__)
+    ids = [trials.ids[r] for r in rows]
+    rank = np.empty(len(trials.ids), dtype=np.intp)
+    rank[rows] = np.arange(len(rows))
+    enroll, test = rank[trials.enroll], rank[trials.test]
     known = np.array([u in embeddings for u in ids])
     if not known.all():
         i = int(np.argmax(~known[enroll] | ~known[test]))
-        utt = trials.enroll[i] if not known[enroll[i]] else trials.test[i]
+        utt = ids[enroll[i]] if not known[enroll[i]] else ids[test[i]]
         raise DataError(f"trial {i + 1}: no embedding for utterance '{utt}'")
     _check_unique(trials, enroll * len(ids) + test)
 
@@ -498,7 +530,12 @@ def trial_scores(trials: Trials, scores: Scores, source: Path | str) -> np.ndarr
     pairs the trial list does not hold are ignored. Raises DataError
     naming the first trial that repeats an earlier one or has no score in
     `source`, whichever comes first."""
-    want, have = _pair_codes(trials.enroll, trials.test, scores.enroll, scores.test)
+    row = {u: i for i, u in enumerate(trials.ids)}
+    # the score file's rows in the trial list's table; -1 for an id it lacks
+    remap = np.fromiter((row.get(u, -1) for u in scores.ids), np.intp, len(scores.ids))
+    enroll, test = remap[scores.enroll], remap[scores.test]
+    want = trials.enroll * len(row) + trials.test
+    have = np.where((enroll < 0) | (test < 0), -1, enroll * len(row) + test)
     by_want, by_have = np.argsort(want), np.argsort(have)
     at = np.empty_like(by_want)  # searched in sorted order, which keeps the search in cache
     at[by_want] = by_have[np.minimum(np.searchsorted(have[by_have], want[by_want]), len(have) - 1)]
@@ -506,26 +543,29 @@ def trial_scores(trials: Trials, scores: Scores, source: Path | str) -> np.ndarr
     first_missing = int(np.argmax(missing)) if missing.any() else len(want)
     _check_unique(trials, want[:first_missing])
     if first_missing < len(want):
-        i = first_missing
-        raise DataError(f"trial {i + 1} ({trials.enroll[i]} {trials.test[i]}) "
+        t = trials[first_missing]
+        raise DataError(f"trial {first_missing + 1} ({t.enroll_id} {t.test_id}) "
                         f"has no score in {source}")
     return scores.value[at]
 
 
 def all_pairs_trials(speaker_of: dict[str, str]) -> Trials:
-    """Every unordered pair of distinct utterances, labeled by speaker match."""
+    """Every unordered pair of distinct utterances, labeled by speaker match,
+    each once: (a, b) with a before b in sorted id order."""
     ids = sorted(speaker_of)
     if len(ids) < 2:
         raise DataError("need at least 2 utterances to form trials")
     codes: dict[str, int] = {}
     speaker = np.array([codes.setdefault(speaker_of[u], len(codes)) for u in ids])
     first, second = np.triu_indices(len(ids), k=1)
-    names = np.array(ids, dtype=object)
-    return Trials(names[first].tolist(), names[second].tolist(),
-                  speaker[first] == speaker[second])
+    return Trials(ids, first, second, speaker[first] == speaker[second])
 
 
-_ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
+def _is_space(chars: np.ndarray) -> np.ndarray:
+    """Whether each ASCII code of an unsigned array is a str.split space:
+    9-13 (\\t \\n \\v \\f \\r) or 28-32 (\\x1c-\\x1f, ' '). Unsigned
+    wrap-around puts every code below a range's start above its end."""
+    return ((chars - 9) <= 4) | ((chars - 28) <= 4)
 
 
 def _three_fields_a_line(text: str) -> bool:
@@ -533,10 +573,11 @@ def _three_fields_a_line(text: str) -> bool:
     str.split's, without splitting a line."""
     if text.isascii():
         chars = np.frombuffer(text.encode("ascii"), np.uint8)
-        space = _ASCII_SPACE[chars]
+        space = _is_space(chars)
     else:
         chars = np.frombuffer(text.encode("utf-32-le"), "<u4")
-        space = np.isin(chars, [c for c in np.unique(chars).tolist() if chr(c).isspace()])
+        wide = [c for c in np.unique(chars[chars >= 128]).tolist() if chr(c).isspace()]
+        space = _is_space(chars) | np.isin(chars, wide)
     newline = chars == ord("\n")
     start = ~space
     start[1:] &= space[:-1]
@@ -546,107 +587,129 @@ def _three_fields_a_line(text: str) -> bool:
     return b"\0" not in events.replace(b"\0\0\0\1", b"\1")
 
 
-def _read_columns(path: Path) -> tuple[list[str], list[str], list[str]] | None:
-    """The three columns of a file of three-field lines, blank lines
-    skipped, from one read; None if some line holds another count."""
-    with binio.open_text(path) as fh:
-        text = fh.read()
-    if not _three_fields_a_line(text):
+def _read_rows(path: Path, parse) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
+    """A file of three-field lines (blank lines skipped) as an id table,
+    the enroll and test rows of each line in it and the column `parse`
+    makes of the third fields, READ_BLOCK bytes at a time; None if a line
+    holds another field count or `parse` returns None for some block."""
+    table: dict[str, int] = {}
+    blocks = []
+    faulty = False
+    # a block at fault stops the parsing, not the reading: a file that is
+    # not utf-8 raises that first, wherever its bad bytes are
+    for text in binio.text_blocks(path, READ_BLOCK):
+        if not faulty and _three_fields_a_line(text):
+            fields = text.split()
+            column = parse(fields[2::3])
+            if column is not None:
+                blocks.append((_rows(table, fields[0::3]), _rows(table, fields[1::3]), column))
+                continue
+        faulty = True
+    if faulty:
         return None
-    fields = text.split()
-    del text
-    return fields[0::3], fields[1::3], fields[2::3]
-
-
-def _lines(path: Path, third: str):
-    """(line number, fields) of each non-blank line, read one at a time; a
-    line of other than three fields raises DataError naming it."""
-    with binio.open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if len(parts) == 3:
-                yield lineno, parts
-            elif parts:
-                raise DataError(f"{path}:{lineno}: expected 'enroll test {third}', "
-                                f"got {line.strip()!r}")
-
-
-def _interned(ids: list[str]) -> list[str]:
-    """One string object per distinct id, not one per line."""
-    return list(map(sys.intern, ids))
+    enroll, test, column = ([np.concatenate(c) for c in zip(*blocks)] if blocks
+                            else [np.empty(0, dtype=np.intp)] * 3)
+    return list(table), enroll, test, column
 
 
 _LABELS = ("nontarget", "target")
 
 
+def _targets(labels: list[str]) -> np.ndarray | None:
+    target = np.fromiter(map("target".__eq__, labels), bool, len(labels))
+    return target if target.sum() + labels.count("nontarget") == len(labels) else None
+
+
+def _scores(fields: list[str]) -> np.ndarray | None:
+    try:
+        return np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        return None
+
+
+def _raise_first_fault(path: Path, third: str) -> NoReturn:
+    """Read `path` again line by line and raise DataError naming its first
+    bad line: another field count than three, a bad label or score, or a
+    second score for one trial."""
+    seen = set()
+    with binio.open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 3:
+                raise DataError(f"{path}:{lineno}: expected 'enroll test {third}', "
+                                f"got {line.strip()!r}")
+            enroll, test, field = parts
+            if third == "label" and field not in _LABELS:
+                raise DataError(f"{path}:{lineno}: label must be target|nontarget, got {field!r}")
+            if third == "score":
+                try:
+                    float(field)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad score {field!r}") from None
+                if (enroll, test) in seen:
+                    raise DataError(f"{path}:{lineno}: a second score for trial {enroll} {test}")
+                seen.add((enroll, test))
+    raise AssertionError(f"{path}: the block read found a fault no line holds")
+
+
 def read_trials(path: Path | str) -> Trials:
-    """A trial file as columns. The file is read once and checked as a
-    whole; only a malformed one is read again, line by line, to name its
-    first bad line."""
+    """A trial file as id rows, read READ_BLOCK bytes at a time; only a
+    malformed file is read again, line by line, to name its first bad
+    line."""
     path = Path(path)
-    columns = _read_columns(path)
-    if columns is None or not set(columns[2]) <= set(_LABELS):
-        columns = [], [], []
-        for lineno, (enroll, test, label) in _lines(path, "label"):
-            if label not in _LABELS:
-                raise DataError(f"{path}:{lineno}: label must be target|nontarget, got {label!r}")
-            for column, field in zip(columns, (enroll, test, label)):
-                column.append(field)
-    enroll, test, labels = columns
-    if not labels:
+    rows = _read_rows(path, _targets)
+    if rows is None:
+        _raise_first_fault(path, "label")
+    trials = Trials(*rows)
+    if not len(trials):
         raise DataError(f"{path}: no trials")
-    return Trials(_interned(enroll), _interned(test),
-                  np.fromiter(map("target".__eq__, labels), bool, len(labels)))
+    return trials
+
+
+def _id_blocks(trials: Trials | list[Trial]):
+    """The enroll ids, test ids and targets of SCORE_BLOCK trials at a time:
+    a Trials' rows named through its table, other Trial rows as they are."""
+    names = np.array(trials.ids, dtype=object) if isinstance(trials, Trials) else None
+    for lo in range(0, len(trials), SCORE_BLOCK):
+        block = trials[lo:lo + SCORE_BLOCK]
+        if names is None:
+            yield ([t.enroll_id for t in block], [t.test_id for t in block],
+                   [bool(t.target) for t in block])
+        else:
+            yield names[block.enroll].tolist(), names[block.test].tolist(), block.target.tolist()
 
 
 def write_trials(path: Path | str, trials: Trials | list[Trial]) -> None:
-    trials = Trials.of(trials)
     with binio.atomic_write(path, "w") as fh:
-        for lo in range(0, len(trials), SCORE_BLOCK):
-            hi = lo + SCORE_BLOCK
-            fh.write("".join([f"{e} {t} {_LABELS[target]}\n" for e, t, target in zip(
-                trials.enroll[lo:hi], trials.test[lo:hi], trials.target[lo:hi].tolist())]))
+        for enroll, test, target in _id_blocks(trials):
+            fh.write("".join([f"{e} {t} {_LABELS[g]}\n" for e, t, g in zip(enroll, test, target)]))
 
 
 def write_scores(path: Path | str, trials: Trials | list[Trial], scores: np.ndarray) -> None:
-    trials = Trials.of(trials)
     if len(scores) != len(trials):
         raise ValueError(f"{len(scores)} scores for {len(trials)} trials")
     with binio.atomic_write(path, "w") as fh:
-        for lo in range(0, len(trials), SCORE_BLOCK):
-            hi = lo + SCORE_BLOCK
-            fh.write("".join([f"{e} {t} {score:.6f}\n" for e, t, score in zip(
-                trials.enroll[lo:hi], trials.test[lo:hi], scores[lo:hi].tolist())]))
+        for lo, (enroll, test, _) in zip(range(0, len(trials), SCORE_BLOCK), _id_blocks(trials)):
+            # one % formats the block in C, without a Python frame per line
+            fh.write("%s %s %.6f\n" * len(enroll) % tuple(itertools.chain.from_iterable(
+                zip(enroll, test, scores[lo:lo + SCORE_BLOCK].tolist()))))
 
 
 def read_scores(path: Path | str) -> Scores:
-    """A score file as columns. A trial scored on two lines raises
-    DataError naming the second. The file is read once and checked as a
-    whole; only a malformed one is read again, line by line, to name its
-    first bad line."""
+    """A score file as id rows, read READ_BLOCK bytes at a time. A trial
+    scored on two lines raises DataError naming the second. Only a
+    malformed file is read again, line by line, to name its first bad
+    line."""
     path = Path(path)
-    columns = _read_columns(path)
-    if columns is not None:
-        try:
-            value = np.fromiter(map(float, columns[2]), np.float64, len(columns[2]))
-        except ValueError:
-            columns = None
-    if columns is None or _first_repeat(*_pair_codes(columns[0], columns[1])) is not None:
-        columns, seen = ([], [], []), set()
-        for lineno, (enroll, test, text) in _lines(path, "score"):
-            try:
-                score = float(text)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad score {text!r}") from None
-            if (enroll, test) in seen:
-                raise DataError(f"{path}:{lineno}: a second score for trial {enroll} {test}")
-            seen.add((enroll, test))
-            for column, field in zip(columns, (enroll, test, score)):
-                column.append(field)
-        value = np.array(columns[2], dtype=np.float64)
-    if not len(value):
+    rows = _read_rows(path, _scores)
+    if rows is None or _first_repeat(rows[1] * len(rows[0]) + rows[2]) is not None:
+        _raise_first_fault(path, "score")
+    scores = Scores(*rows)
+    if not len(scores):
         raise DataError(f"{path}: no scores")
-    return Scores(_interned(columns[0]), _interned(columns[1]), value)
+    return scores
 
 
 def save_backend(path: Path | str, preprocessor: Preprocessor,

@@ -8,8 +8,8 @@ nothing after them. write_container and read_container are the only
 writer and reader of that framing; the metadata blob is one string
 holding key=value lines, and Reader.meta is its only parser. Every
 versioned artifact checks its magic and version through Reader.header.
-Reader.text and open_text (text files) are the only places that decode
-utf-8. Non-utf-8 bytes and non-finite tensor values raise ParseError.
+Reader.text, open_text and text_blocks (text files) are the only places
+that decode utf-8. Non-utf-8 bytes and non-finite tensor values raise ParseError.
 
 The field codec, format_field and parse_field, turns one dataclass field
 into text and back, chosen by the field's annotation (int, float, str,
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import BadMagicError, ParseError, TruncatedFileError
 
 __all__ = ["Reader", "atomic_write", "format_field", "parse_field", "non_finite_fields",
-           "open_text", "write_u32", "write_blob", "write_array", "read_array",
+           "open_text", "text_blocks", "write_u32", "write_blob", "write_array", "read_array",
            "write_container", "read_container"]
 
 
@@ -83,7 +83,38 @@ def open_text(path: Path | str, newline: str | None = None):
         with Path(path).open(encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as err:
-        raise ParseError(f"{path}: text is not utf-8 ({err.reason})") from None
+        raise _not_utf8(path, err) from None
+
+
+def text_blocks(path: Path | str, size: int):
+    """The utf-8 text of a file in blocks of whole lines, each read as
+    `size` bytes and cut back to its last \\n (a longer line makes its
+    block longer, so a file whose lines end in \\r alone is one block; the
+    last block may lack a line end). Line ends \\r\\n and \\r read as
+    \\n, as open_text reads them; a \\r\\n never spans two blocks."""
+    with Path(path).open("rb") as fh:
+        rest = b""
+        while chunk := fh.read(size):
+            block = rest + chunk
+            end = block.rfind(b"\n") + 1
+            rest = block[end:]
+            if end:
+                yield _decoded(block[:end], path)
+        if rest:
+            yield _decoded(rest, path)
+
+
+def _decoded(raw: bytes, path: Path | str) -> str:
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
+
+
+def _not_utf8(path: Path | str, err: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: text is not utf-8 ({err.reason})")
 
 
 class Reader:

@@ -539,8 +539,8 @@ def _unblocked_scores(trials, table, plda):
     same rows (sorted ids, length-normalized), gathered as [T, d] matrices."""
     ids = sorted(table)
     row = {u: i for i, u in enumerate(ids)}
-    e = np.array([row[u] for u in trials.enroll])
-    t = np.array([row[u] for u in trials.test])
+    e = np.array([row[trial.enroll_id] for trial in trials])
+    t = np.array([row[trial.test_id] for trial in trials])
     x = length_normalize(np.stack([table[u] for u in ids]))
     if plda is None:
         return np.sum(x[e] * x[t], axis=1)
@@ -564,7 +564,7 @@ def test_blocked_scores_are_bitwise_the_unblocked_formula(kind):
     table = {f"u{i:03d}": rng.standard_normal(dim) for i in range(n_utts)}
     ids = list(table)
     pairs = rng.choice(n_utts * n_utts, size=n_trials, replace=False)
-    trials = backend.Trials([ids[p // n_utts] for p in pairs], [ids[p % n_utts] for p in pairs],
+    trials = backend.Trials(ids, pairs // n_utts, pairs % n_utts,
                             rng.integers(2, size=n_trials).astype(bool))
     plda = (None if kind == "cosine" else
             PldaModel(mean=rng.standard_normal(dim) * 0.1, between=_random_spd(rng, dim),
@@ -589,8 +589,7 @@ def test_plda_scoring_memory_does_not_grow_with_trials_times_dim():
     peaks = {}
     for n_trials in (20_000, 80_000):
         pairs = rng.choice(400 * 400, size=n_trials, replace=False)
-        trials = backend.Trials([ids[p // 400] for p in pairs], [ids[p % 400] for p in pairs],
-                                np.zeros(n_trials, dtype=bool))
+        trials = backend.Trials(ids, pairs // 400, pairs % 400, np.zeros(n_trials, dtype=bool))
         tracemalloc.start()
         try:
             score_trials(trials, table, plda=plda)
@@ -602,7 +601,7 @@ def test_plda_scoring_memory_does_not_grow_with_trials_times_dim():
 
 
 def test_trials_read_as_a_sequence_of_rows():
-    trials = backend.Trials(["a", "a", "b"], ["b", "c", "c"], np.array([True, False, False]))
+    trials = backend.Trials(["a", "b", "c"], [0, 0, 1], [1, 2, 2], np.array([True, False, False]))
     assert len(trials) == 3
     assert trials[0] == Trial("a", "b", True)
     assert trials[np.int64(1)] == Trial("a", "c", False) and trials[-1] == Trial("b", "c", False)
@@ -617,7 +616,8 @@ def test_scores_read_as_a_mapping(tmp_path):
     p = tmp_path / "s.txt"
     p.write_text("a b 0.5\nb a -1.25\n")
     scores = read_scores(p)
-    assert scores.enroll == ["a", "b"] and scores.test == ["b", "a"]
+    assert scores.ids == ["a", "b"]
+    assert scores.enroll.tolist() == [0, 1] and scores.test.tolist() == [1, 0]
     assert scores.value.dtype == np.float64 and scores.value.tolist() == [0.5, -1.25]
     assert len(scores) == 2 and list(scores) == [("a", "b"), ("b", "a")]
     assert scores[("b", "a")] == -1.25 and ("a", "a") not in scores
@@ -724,6 +724,114 @@ def test_field_count_check_matches_a_split_of_every_line():
         assert backend._three_fields_a_line(text) == want, repr(text)
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_space_test_matches_str_isspace_on_every_ascii_code():
+    codes = np.arange(128, dtype=np.uint8)
+    assert backend._is_space(codes).tolist() == [chr(c).isspace() for c in range(128)]
+    assert backend._is_space(codes.astype(np.uint32)).tolist() == [chr(c).isspace()
+                                                                  for c in range(128)]
+
+
+# A trial file whose lines cross block boundaries at every small block size:
+# blank lines, a line longer than the blocks, \r\n line ends, non-ASCII ids
+# and no final newline.
+LONG_ID = "spk_" + "x" * 40
+TRIAL_TEXT = ("u1 u2 target\n\n  \t\n\u00fc1 \u00e9\u00e9 nontarget\r\nu2 u3 target\r\n"
+              f"{LONG_ID} u3 nontarget\n\u3000\nu3 \u00fc1 target")
+TRIAL_ROWS = [Trial("u1", "u2", True), Trial("\u00fc1", "\u00e9\u00e9", False),
+              Trial("u2", "u3", True), Trial(LONG_ID, "u3", False), Trial("u3", "\u00fc1", True)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 13, 21, 34, 1 << 16])
+def test_block_reads_match_the_lines(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(backend, "READ_BLOCK", block)
+    assert block == 1 << 16 or block < len(LONG_ID)  # the long line spans blocks
+    p = tmp_path / "t.txt"
+    p.write_bytes(TRIAL_TEXT.encode("utf-8"))
+    assert list(read_trials(p)) == TRIAL_ROWS
+    scores = tmp_path / "s.txt"
+    scores.write_bytes(TRIAL_TEXT.replace("nontarget", "-1.5").replace("target", "2.25")
+                       .encode("utf-8"))
+    assert dict(read_scores(scores)) == {(t.enroll_id, t.test_id): (2.25 if t.target else -1.5)
+                                         for t in TRIAL_ROWS}
+
+
+def test_a_crlf_split_by_a_block_read_is_one_line_end(tmp_path, monkeypatch):
+    text = "u1 u2 target\r\nu1 u3 nontarget\r\nu2 u3\r\n"
+    # the first read ends between the second line's \r and \n
+    monkeypatch.setattr(backend, "READ_BLOCK", text.index("\r", 14) + 1)
+    p = tmp_path / "t.txt"
+    p.write_bytes(text[:-len("u2 u3\r\n")].encode())
+    assert list(read_trials(p)) == [Trial("u1", "u2", True), Trial("u1", "u3", False)]
+    p.write_bytes(text.encode())
+    with pytest.raises(DataError, match=r"t\.txt:3: expected 'enroll test label', got 'u2 u3'"):
+        read_trials(p)
+
+
+def _padded(bad_line: str, third: str) -> tuple[str, int]:
+    """Forty good lines and some blank ones, then `bad_line`, then more good
+    lines; with the line number of `bad_line`."""
+    good = [f"e{i} t{i} {third}" for i in range(40)]
+    lines = good[:10] + ["", " "] + good[10:] + [""] + [bad_line] + good[:3] + ["x y"]
+    return "\n".join(lines) + "\n", lines.index(bad_line) + 1
+
+
+@pytest.mark.parametrize("name, bad_line, message", [
+    ("t", "u1 u3", "expected 'enroll test label', got 'u1 u3'"),
+    ("t", "u1 u3 maybe", "label must be target\\|nontarget, got 'maybe'"),
+    ("s", "u1 u3 0.5 extra", "expected 'enroll test score', got 'u1 u3 0.5 extra'"),
+    ("s", "u1 u3 zero", "bad score 'zero'"),
+    ("s", "e5 t5 0.25", "a second score for trial e5 t5"),
+])
+def test_a_fault_in_a_later_block_names_its_line(tmp_path, monkeypatch, name, bad_line, message):
+    monkeypatch.setattr(backend, "READ_BLOCK", 16)
+    text, lineno = _padded(bad_line, "target" if name == "t" else "0.5")
+    p = tmp_path / f"{name}.txt"
+    p.write_text(text)
+    with pytest.raises(DataError, match=rf"{name}\.txt:{lineno}: {message}"):
+        (read_trials if name == "t" else read_scores)(p)
+
+
+def test_the_first_fault_in_line_order_is_named(tmp_path, monkeypatch):
+    # a second score before a bad field count in a later block; bytes that
+    # are not utf-8 anywhere come first, as a whole-file read found them
+    monkeypatch.setattr(backend, "READ_BLOCK", 16)
+    text, lineno = _padded("e5 t5 0.25", "0.5")
+    p = tmp_path / "s.txt"
+    p.write_text(text + "a b\n")
+    with pytest.raises(DataError, match=rf"s\.txt:{lineno}: a second score for trial e5 t5"):
+        read_scores(p)
+    p.write_bytes((text + "a b\n").encode() + b"c d \xff\n")
+    with pytest.raises(ParseError, match="is not utf-8"):
+        read_scores(p)
+
+
+def test_reads_hold_a_few_columns_per_line_not_the_text(tmp_path):
+    # Peak memory of read_trials and read_scores at 20,000 and 80,000 lines
+    # over 400 ids of 30 characters: each line adds its enroll and test rows
+    # (two int columns) and a bool or float64 column, held twice while the
+    # blocks are joined, and read_scores sorts one int column of pair codes:
+    # 29 and 46 bytes a line. A whole-file read, which holds the text and
+    # one str per field at once, took about 400.
+    rng = np.random.default_rng(4)
+    ids = [f"speaker{i:04d}_utterance{i:05d}_x" for i in range(400)]
+    peaks = {}
+    for n_lines in (20_000, 80_000):
+        pairs = rng.choice(400 * 400, size=n_lines, replace=False)
+        trials = backend.Trials(ids, pairs // 400, pairs % 400, rng.integers(2, size=n_lines))
+        write_trials(tmp_path / "t.txt", trials)
+        write_scores(tmp_path / "s.txt", trials, rng.standard_normal(n_lines))
+        for read, name in ((read_trials, "t.txt"), (read_scores, "s.txt")):
+            tracemalloc.start()
+            try:
+                read(tmp_path / name)
+                _, peaks[name, n_lines] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    for name in ("t.txt", "s.txt"):
+        per_line = (peaks[name, 80_000] - peaks[name, 20_000]) / 60_000
+        assert per_line < 8 * 8, (name, per_line)  # under eight 8-byte columns
 
 
 def test_backend_roundtrip_with_plda(tmp_path, plda_truth):
