@@ -26,8 +26,10 @@ gradient, while an intermediate tensor holds no .grad.
 Ops are pure functions of their explicit inputs plus the tape. Passing
 tape=None runs forward only, which is the inference path.
 
-Tests run everything in float64; training builds use float32. Gradient
-checks are always float64.
+A Tensor keeps the dtype of its data (float32 or float64; anything else
+becomes float64). Tests run everything in float64; training builds use
+float32. Gradient checks are always float64, by central differences of a
+fixed 1e-5 step.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_tape")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+        self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float64)
         self.grad: np.ndarray | None = None
@@ -564,8 +566,12 @@ class GradCheckReport:
     per_tensor: dict[str, float] = field(default_factory=dict)
 
 
+# Central-difference step of grad_check, in float64.
+_FD_STEP = 1e-5
+
+
 def grad_check(fn: Callable[[], tuple[Tensor, Tape]], wrt: dict[str, Tensor],
-               tolerance: float = 1e-4, step: float = 1e-5) -> GradCheckReport:
+               tolerance: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     fn must rebuild the computation from scratch on every call and
@@ -593,12 +599,12 @@ def grad_check(fn: Callable[[], tuple[Tensor, Tape]], wrt: dict[str, Tensor],
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + _FD_STEP
             f_plus = float(fn()[0].data)
-            flat[i] = orig - step
+            flat[i] = orig - _FD_STEP
             f_minus = float(fn()[0].data)
             flat[i] = orig
-            numeric[i] = (f_plus - f_minus) / (2.0 * step)
+            numeric[i] = (f_plus - f_minus) / (2.0 * _FD_STEP)
         a = analytic[name].reshape(-1)
         if flat.size:
             denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))

@@ -3,10 +3,13 @@
 Pipeline: center + LDA-project (Preprocessor), length-normalize, then
 score with either cosine similarity or a two-covariance PLDA model
 (speaker means drawn from N(m, B), observations from N(y, W)). PLDA is
-fit by EM; scoring is the closed-form log-likelihood ratio of the
-same-speaker against the different-speaker hypothesis.
+fit by EM from the data scatters; scoring is the closed-form
+log-likelihood ratio of the same-speaker against the different-speaker
+hypothesis. Preprocessor.apply and length_normalize map [N, D] rows and
+raise ConfigurationError on any other shape.
 
-score_trials returns one float64 score per trial, in trial order: a PLDA
+score_trials takes a Trials (as read_trials and all_pairs_trials return)
+and returns one float64 score per trial, in trial order: a PLDA
 log-likelihood ratio when given a PldaModel, a cosine similarity
 otherwise. It works per utterance, then per block of trials. Each
 utterance a trial list names is preprocessed and normalized once, and
@@ -41,7 +44,8 @@ metadata holds length_norm alone; the tensors are the centering mean and
 the LDA projection, then the PLDA mean, between and within covariances
 when PLDA was fit, and the dimensions are read off their shapes.
 Embedding archives ("XVEB") are framed here and check their magic and
-version through binio.Reader.header. Trial files are text lines
+version through binio.Reader.header; write_embeddings requires a speaker
+label for every vector. Trial files are text lines
 "enroll_id test_id target|nontarget"; score files are
 "enroll_id test_id score" with six decimal places, one line per trial.
 """
@@ -114,14 +118,20 @@ class Preprocessor:
     projection: np.ndarray  # [lda_dim, emb_dim]
 
     def apply(self, embeddings: np.ndarray) -> np.ndarray:
-        x = np.asarray(embeddings, dtype=np.float64)
-        single = x.ndim == 1
-        x = np.atleast_2d(x)
+        """Rows of an [N, D] array, centred and projected to [N, lda_dim]."""
+        x = _matrix(embeddings)
         if x.shape[1] != self.mean.shape[0]:
             raise ConfigurationError(
                 f"embeddings have dim {x.shape[1]}, preprocessor expects {self.mean.shape[0]}")
-        y = (x - self.mean) @ self.projection.T
-        return y[0] if single else y
+        return (x - self.mean) @ self.projection.T
+
+
+def _matrix(embeddings: np.ndarray) -> np.ndarray:
+    """`embeddings` as a float64 [N, D] array; any other rank raises."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    if x.ndim != 2:
+        raise ConfigurationError(f"embeddings must be [N, D], got shape {x.shape}")
+    return x
 
 
 @dataclass
@@ -137,9 +147,7 @@ class _ClassStats:
 
 
 def _class_stats(embeddings: np.ndarray, labels, who: str) -> _ClassStats:
-    x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigurationError(f"embeddings must be [N, D], got shape {x.shape}")
+    x = _matrix(embeddings)
     if len(labels) != x.shape[0]:
         raise ConfigurationError(f"{x.shape[0]} embeddings but {len(labels)} labels")
     by: dict[str, list[int]] = {}
@@ -223,23 +231,18 @@ def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocess
     order = np.argsort(m_evals)[::-1][:lda_dim]
     projection = (w_inv_half @ m_evecs[:, order]).T
     # one deterministic sign per row: largest-magnitude entry positive
-    for row in projection:
-        peak = np.argmax(np.abs(row))
-        if row[peak] < 0:
-            row *= -1.0
+    peaks = projection[np.arange(lda_dim), np.argmax(np.abs(projection), axis=1)]
+    projection *= np.where(peaks < 0, -1.0, 1.0)[:, None]
     return Preprocessor(mean=x.mean(axis=0), projection=projection)
 
 
 def length_normalize(embeddings: np.ndarray) -> np.ndarray:
-    """Scale vectors (or rows) to unit Euclidean norm."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
+    """Scale the rows of an [N, D] array to unit Euclidean norm."""
+    x = _matrix(embeddings)
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
         raise DataError("cannot length-normalize a zero embedding")
-    y = x / norms[:, None]
-    return y[0] if single else y
+    return x / norms[:, None]
 
 
 @dataclass
@@ -280,16 +283,17 @@ def _marginal_log_likelihood(m: np.ndarray, between: np.ndarray, within: np.ndar
     return float(ll)
 
 
-def fit_plda(embeddings: np.ndarray, labels, num_iterations: int = 20,
-             init: PldaModel | None = None) -> PldaModel:
+def fit_plda(embeddings: np.ndarray, labels, num_iterations: int = 20) -> PldaModel:
     """Fit the two-covariance model by EM.
 
-    Speakers with a single embedding are excluded with a warning. By
-    default the model is initialized from the data scatters (which makes
-    the whole fit equivariant under invertible affine maps of the
-    input); pass init to start elsewhere. The marginal log-likelihood is
-    recorded before training and after every iteration in
-    model.log_likelihoods; EM guarantees the sequence is non-decreasing.
+    Speakers with a single embedding are excluded with a warning. The
+    model starts from the data scatters of the retained rows: their mean,
+    between = class-mean scatter / C and within = within-class scatter /
+    N, for C speakers and N rows (which makes the whole fit equivariant
+    under invertible affine maps of the input). The marginal
+    log-likelihood is recorded before training and after every iteration
+    in model.log_likelihoods; EM guarantees the sequence is
+    non-decreasing.
     """
     if num_iterations < 1:
         raise ConfigurationError(f"num_iterations must be >= 1, got {num_iterations}")
@@ -298,15 +302,10 @@ def fit_plda(embeddings: np.ndarray, labels, num_iterations: int = 20,
     n_classes = counts.size
     n_total = int(counts.sum())
 
-    if init is not None:
-        m = np.array(init.mean, dtype=np.float64)
-        between = np.array(init.between, dtype=np.float64)
-        within = np.array(init.within, dtype=np.float64)
-    else:
-        m = stats.retained_mean
-        dev = class_means - m
-        between = dev.T @ dev / n_classes
-        within = s_within_total / n_total
+    m = stats.retained_mean
+    dev = class_means - m
+    between = dev.T @ dev / n_classes
+    within = s_within_total / n_total
 
     lls = [_marginal_log_likelihood(m, between, within, counts, class_means,
                                     s_within_total, n_total)]
@@ -362,16 +361,6 @@ class Trials(Sequence):
         self.enroll, self.test = np.asarray(enroll, dtype=np.intp), np.asarray(test, dtype=np.intp)
         self.target = np.asarray(target, dtype=bool)
         self._by_index: tuple[list, list, list] | None = None
-
-    @classmethod
-    def of(cls, rows) -> Trials:
-        """`rows` as id rows: a Trials as it is, other Trial rows coded."""
-        if isinstance(rows, Trials):
-            return rows
-        table: dict[str, int] = {}
-        enroll = _rows(table, [t.enroll_id for t in rows])
-        test = _rows(table, [t.test_id for t in rows])
-        return cls(list(table), enroll, test, np.array([t.target for t in rows], dtype=bool))
 
     def __len__(self) -> int:
         return len(self.target)
@@ -454,7 +443,7 @@ def _check_unique(trials: Trials, codes: np.ndarray) -> None:
         raise DataError(f"trial {i + 1}: repeats trial {j + 1} ({t.enroll_id} {t.test_id})")
 
 
-def score_trials(trials: Trials | list[Trial], embeddings: dict[str, np.ndarray],
+def score_trials(trials: Trials, embeddings: dict[str, np.ndarray],
                  preprocessor: Preprocessor | None = None, plda: PldaModel | None = None,
                  length_norm: bool = True) -> np.ndarray:
     """Score trials against an id -> vector table; float64, in trial order.
@@ -470,7 +459,6 @@ def score_trials(trials: Trials | list[Trial], embeddings: dict[str, np.ndarray]
     naming the first trial at fault. (a, b) and (b, a) are two trials,
     though both scorers give them one score.
     """
-    trials = Trials.of(trials)
     if not len(trials):
         raise DataError("empty trial list")
     used = np.zeros(len(trials.ids), dtype=bool)
@@ -745,9 +733,13 @@ def load_backend(path: Path | str) -> tuple[Preprocessor, PldaModel | None, bool
 
 def write_embeddings(path: Path | str, vectors: dict[str, np.ndarray],
                      speakers: dict[str, str]) -> None:
-    """Archive utterance embeddings plus their speaker labels."""
+    """Archive utterance embeddings plus their speaker labels; every
+    utterance needs a label."""
     if not vectors:
         raise DataError("no embeddings to write")
+    unlabeled = next((utt for utt in vectors if not speakers.get(utt)), None)
+    if unlabeled is not None:
+        raise DataError(f"no speaker label for utterance '{unlabeled}'")
     dims = {np.asarray(v).shape for v in vectors.values()}
     if len(dims) != 1 or len(next(iter(dims))) != 1:
         raise ConfigurationError(f"embeddings must share one 1-d shape, got {sorted(dims)}")
@@ -759,7 +751,7 @@ def write_embeddings(path: Path | str, vectors: dict[str, np.ndarray],
         binio.write_u32(fh, dim)
         for utt, vec in vectors.items():
             binio.write_blob(fh, utt.encode("utf-8"))
-            binio.write_blob(fh, speakers.get(utt, "").encode("utf-8"))
+            binio.write_blob(fh, speakers[utt].encode("utf-8"))
             fh.write(np.ascontiguousarray(vec, dtype="<f4").tobytes())
 
 

@@ -204,10 +204,7 @@ def write_array(fh, arr: np.ndarray) -> None:
 def read_array(reader: Reader) -> np.ndarray:
     rank = reader.u32()
     dims = tuple(struct.unpack(f"<{rank}I", reader.take(4 * rank))) if rank else ()
-    n_vals = 1
-    for d in dims:
-        n_vals *= d
-    arr = np.frombuffer(reader.take(4 * n_vals), dtype="<f4").reshape(dims)
+    arr = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
     if not np.isfinite(arr).all():
         raise ParseError(f"{reader.path}: non-finite value in the tensor before byte {reader.off}")
     return arr

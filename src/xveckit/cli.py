@@ -359,7 +359,6 @@ def _cmd_sweep(args) -> int:
         for alpha in alphas:
             sys_config = replace(config, mtl_order=0 if alpha == 0.0 else order,
                                  task_weight=alpha)
-            sys_config.validate()
             _project(sys_config, ModelConfig, num_speakers=len(train_counts)).validate()
             systems.setdefault(system_name(order, alpha), sys_config)
     if config.scorer == "plda":

@@ -287,13 +287,13 @@ def build_model(config: ModelConfig, dtype=np.float32) -> Model:
                  opt_state=OptimizerState(params))
 
 
-def _pooled(model: Model, x, mode: str, tape: Tape | None = None,
+def _pooled(model: Model, x: np.ndarray, mode: str, tape: Tape | None = None,
             what: str = "input") -> Tensor:
-    """Check an [N, L, D] input (named `what` in errors) against the model,
+    """Check an [N, L, D] array (named `what` in errors) against the model,
     then run layers l1..l5, each a conv with a built-in relu and batch norm
     over all N * T frames (one tape entry), and statistics pooling."""
     cfg = model.config
-    h = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=model.dtype))
+    h = Tensor(np.asarray(x, dtype=model.dtype))
     if h.ndim != 3:
         raise ConfigurationError(f"{what} must be [N, L, D], got shape {h.shape}")
     length, d = h.shape[1], h.shape[2]
@@ -311,8 +311,9 @@ def _pooled(model: Model, x, mode: str, tape: Tape | None = None,
     return stats_pool(h, tape)
 
 
-def forward(model: Model, batch, mode: str = "train", tape: Tape | None = None) -> ForwardResult:
-    """Run a [N, L, D] batch through the network.
+def forward(model: Model, batch: np.ndarray, mode: str = "train",
+            tape: Tape | None = None) -> ForwardResult:
+    """Run a [N, L, D] batch array through the network.
 
     Returns speaker logits and, when the model has an auxiliary head,
     the reconstructed statistics vector. Each hidden layer is one op with
@@ -590,7 +591,7 @@ def _away_from_zero(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(0.2, 1.2, size=shape) * rng.choice([-1.0, 1.0], size=shape)
 
 
-def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[str, GradCheckReport]]:
+def gradient_suite(tolerance: float = 1e-4) -> list[tuple[str, GradCheckReport]]:
     """Finite-difference checks of every primitive and of the miniature
     network at task weights 0, 0.3, and 1. All in float64."""
     checks: list[tuple[str, GradCheckReport]] = []
@@ -602,7 +603,7 @@ def gradient_suite(tolerance: float = 1e-4, step: float = 1e-5) -> list[tuple[st
             tape = Tape()
             return loss_of_tape(tape), tape
 
-        checks.append((name, grad_check(fn, wrt, tolerance=tolerance, step=step)))
+        checks.append((name, grad_check(fn, wrt, tolerance=tolerance)))
 
     def check_op(name: str, op, wrt: dict[str, Tensor], target: np.ndarray) -> None:
         """Check the MSE of op(tape), reshaped to target's shape, against target."""

@@ -34,6 +34,14 @@ from xveckit.errors import (
 )
 
 
+def trials_of(rows):
+    """Trial rows as a Trials, ids in order of first appearance."""
+    ids = list(dict.fromkeys(u for t in rows for u in (t.enroll_id, t.test_id)))
+    row = {u: i for i, u in enumerate(ids)}
+    return backend.Trials(ids, [row[t.enroll_id] for t in rows], [row[t.test_id] for t in rows],
+                          [t.target for t in rows])
+
+
 def gaussian_logpdf(x, mu, cov):
     dev = x - mu
     _, logdet = np.linalg.slogdet(cov)
@@ -265,8 +273,17 @@ def test_lda_within_scatter_at_rounding_noise_raises_without_a_ridge(caplog):
 def test_preprocessor_checks_input_dim(lda_data):
     x, labs = lda_data
     pre = fit_preprocessor(x, labs, lda_dim=3)
-    with pytest.raises(ConfigurationError):
-        pre.apply(np.zeros(5))
+    with pytest.raises(ConfigurationError, match="dim 5"):
+        pre.apply(np.zeros((1, 5)))
+
+
+@pytest.mark.parametrize("row_map", ["apply", "length_normalize"])
+def test_row_maps_reject_a_single_vector(lda_data, row_map):
+    # a 1-d vector is a fault of the caller, named as one, not a row
+    x, labs = lda_data
+    fn = fit_preprocessor(x, labs, lda_dim=3).apply if row_map == "apply" else length_normalize
+    with pytest.raises(ConfigurationError, match=r"must be \[N, D\], got shape \(8,\)"):
+        fn(x[0])
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +297,6 @@ def test_length_normalize_properties():
     np.testing.assert_allclose(np.linalg.norm(y, axis=1), 1.0, atol=1e-12)
     cos = np.sum(y * x, axis=1) / np.linalg.norm(x, axis=1)
     np.testing.assert_allclose(cos, 1.0, atol=1e-12)  # direction preserved
-
-
-def test_length_normalize_single_vector():
-    y = length_normalize(np.array([3.0, 4.0]))
-    np.testing.assert_allclose(y, [0.6, 0.8], atol=1e-15)
 
 
 def test_length_normalize_rejects_zero():
@@ -310,13 +322,20 @@ def plda_truth():
 
 
 def test_plda_initial_likelihood_matches_brute_force(plda_truth):
-    mean, between, within, x, labs = plda_truth
+    # the fit starts from the data scatters: the rows' mean, the class
+    # means' scatter over C speakers and the within-class scatter over N rows
+    _, _, _, x, labs = plda_truth
     sub, sublabs = x[: 5 * 15], labs[: 5 * 15]
-    init = PldaModel(mean=mean, between=between, within=within)
-    model = fit_plda(sub, sublabs, num_iterations=1, init=init)
+    model = fit_plda(sub, sublabs, num_iterations=1)
 
+    speakers = sorted(set(sublabs))
+    class_means = np.array([sub[np.array(sublabs) == s].mean(axis=0) for s in speakers])
+    mean = sub.mean(axis=0)
+    between = (class_means - mean).T @ (class_means - mean) / len(speakers)
+    dev = sub - class_means[[speakers.index(s) for s in sublabs]]
+    within = dev.T @ dev / len(sub)
     ll_brute = 0.0
-    for s in sorted(set(sublabs)):
+    for s in speakers:
         rows = sub[np.array(sublabs) == s]
         n = rows.shape[0]
         cov = np.kron(np.eye(n), within) + np.kron(np.ones((n, n)), between)
@@ -352,7 +371,7 @@ def test_plda_llr_matches_brute_force(plda_truth):
         e, t = rng.normal(size=3) * 2.0, rng.normal(size=3) * 2.0
         ll_same = gaussian_logpdf(np.concatenate([e, t]), np.tile(mean, 2), joint)
         ll_diff = gaussian_logpdf(e, mean, total) + gaussian_logpdf(t, mean, total)
-        got = score_trials([Trial("e", "t", True)], {"e": e, "t": t},
+        got = score_trials(trials_of([Trial("e", "t", True)]), {"e": e, "t": t},
                            plda=model, length_norm=False)[0]
         assert got == pytest.approx(ll_same - ll_diff, abs=1e-10)
 
@@ -362,9 +381,9 @@ def test_plda_llr_is_symmetric(plda_truth):
     model = fit_plda(x, labs, num_iterations=5)
     rng = np.random.default_rng(4)
     e, t = rng.normal(size=3), rng.normal(size=3)
-    ab = score_trials([Trial("a", "b", False)], {"a": e, "b": t},
+    ab = score_trials(trials_of([Trial("a", "b", False)]), {"a": e, "b": t},
                       plda=model, length_norm=False)[0]
-    ba = score_trials([Trial("b", "a", False)], {"a": e, "b": t},
+    ba = score_trials(trials_of([Trial("b", "a", False)]), {"a": e, "b": t},
                       plda=model, length_norm=False)[0]
     assert ab == pytest.approx(ba, abs=1e-10)
 
@@ -379,7 +398,7 @@ def test_plda_fit_is_affine_equivariant(plda_truth):
     shift = rng.normal(size=3) * 3.0
     mapped = sub @ amat.T + shift
 
-    trials = [Trial("u0", "u1", True), Trial("u0", "u2", False), Trial("u1", "u2", False)]
+    trials = all_pairs_trials({f"u{i}": sublabs[i] for i in range(3)})
     plain = score_trials(trials, {f"u{i}": sub[i] for i in range(3)},
                          plda=fit_plda(sub, sublabs, 10), length_norm=False)
     moved = score_trials(trials, {f"u{i}": mapped[i] for i in range(3)},
@@ -425,7 +444,7 @@ def test_plda_needs_two_speakers():
 def test_cosine_scores_are_inner_products_of_unit_vectors():
     table = {"a": np.array([2.0, 0.0]), "b": np.array([5.0, 0.0]),
              "c": np.array([0.0, 0.1])}
-    trials = [Trial("a", "b", True), Trial("a", "c", False)]
+    trials = trials_of([Trial("a", "b", True), Trial("a", "c", False)])
     np.testing.assert_allclose(score_trials(trials, table), [1.0, 0.0], atol=1e-12)
 
 
@@ -434,22 +453,22 @@ def test_score_trials_applies_preprocessor():
                        projection=np.array([[1.0, 0.0]]))  # keep coordinate 0
     table = {"a": np.array([3.0, 9.0]), "b": np.array([2.0, -4.0]),
              "c": np.array([0.0, 7.0])}
-    scores = score_trials([Trial("a", "b", True), Trial("a", "c", False)],
+    scores = score_trials(trials_of([Trial("a", "b", True), Trial("a", "c", False)]),
                           table, preprocessor=pre)
     np.testing.assert_allclose(scores, [1.0, -1.0], atol=1e-12)  # signs of coord 0
 
 
 def test_score_trials_unknown_id():
     with pytest.raises(DataError, match="trial 2.*ghost"):
-        score_trials([Trial("a", "b", True), Trial("a", "ghost", False)],
+        score_trials(trials_of([Trial("a", "b", True), Trial("a", "ghost", False)]),
                      {"a": np.ones(2), "b": np.ones(2)})
 
 
 def test_score_trials_rejects_a_repeated_trial():
     # the same (enroll, test) pair twice, the second time with the other label
     table = {f"u{i}": np.eye(4)[i] + 0.1 for i in range(4)}
-    trials = [Trial("u0", "u1", True), Trial("u0", "u2", False), Trial("u1", "u0", True),
-              Trial("u2", "u3", True), Trial("u0", "u1", False)]
+    trials = trials_of([Trial("u0", "u1", True), Trial("u0", "u2", False), Trial("u1", "u0", True),
+                        Trial("u2", "u3", True), Trial("u0", "u1", False)])
     with pytest.raises(DataError, match=r"trial 5: repeats trial 1 \(u0 u1\)"):
         score_trials(trials, table)
     assert score_trials(trials[:4], table).shape == (4,)  # (u1, u0) is another trial
@@ -467,7 +486,7 @@ def _reference_score(trial, table, pre, plda, length_norm):
     T the total and J the joint same-speaker covariance."""
     e, t = (np.asarray(table[u], dtype=np.float64) for u in (trial.enroll_id, trial.test_id))
     if pre is not None:
-        e, t = pre.apply(e), pre.apply(t)
+        e, t = pre.apply(e[None])[0], pre.apply(t[None])[0]
     if plda is None or length_norm:
         e, t = e / np.linalg.norm(e), t / np.linalg.norm(t)
     if plda is None:
@@ -496,8 +515,8 @@ def test_scoring_per_utterance_matches_per_trial_reference(kind, length_norm, us
     emb_dim, dim = 6, (4 if use_pre else 6)
     table = {f"u{i:02d}": rng.standard_normal(emb_dim) * 2.0 + 0.5 for i in range(20)}
     ids = list(table)
-    trials = [Trial(ids[pair // 20], ids[pair % 20], bool(rng.integers(2)))
-              for pair in rng.choice(20 * 20, size=300, replace=False)]
+    trials = trials_of([Trial(ids[pair // 20], ids[pair % 20], bool(rng.integers(2)))
+                        for pair in rng.choice(20 * 20, size=300, replace=False)])
     pre = (Preprocessor(mean=rng.standard_normal(emb_dim),
                         projection=rng.standard_normal((dim, emb_dim))) if use_pre else None)
     plda = (None if kind == "cosine" else
@@ -521,8 +540,8 @@ def test_plda_scoring_memory_is_a_few_trial_matrices():
     dim, n_trials = 32, 20_000
     table = {f"u{i:03d}": rng.standard_normal(dim) for i in range(400)}
     ids = list(table)
-    trials = [Trial(ids[pair // 400], ids[pair % 400], False)
-              for pair in rng.choice(400 * 400, size=n_trials, replace=False)]
+    pairs = rng.choice(400 * 400, size=n_trials, replace=False)
+    trials = backend.Trials(ids, pairs // 400, pairs % 400, np.zeros(n_trials, dtype=bool))
     plda = PldaModel(mean=np.zeros(dim), between=_random_spd(rng, dim),
                      within=_random_spd(rng, dim))
     tracemalloc.start()
@@ -943,6 +962,16 @@ def test_embeddings_roundtrip(tmp_path):
     assert list(back_vecs) == list(vecs)
     for u in vecs:
         np.testing.assert_array_equal(back_vecs[u], vecs[u].astype(np.float32))
+
+
+@pytest.mark.parametrize("label", [None, ""], ids=["missing", "empty"])
+def test_embeddings_need_a_speaker_label_for_every_vector(tmp_path, label):
+    # an unlabeled vector would be pooled with every other as one speaker ""
+    vecs = {f"u{i}": np.ones(3) for i in range(3)}
+    spk = {"u0": "s0", "u2": "s1"} | ({} if label is None else {"u1": label})
+    with pytest.raises(DataError, match="no speaker label for utterance 'u1'"):
+        write_embeddings(tmp_path / "e.xveb", vecs, spk)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_embeddings_reject_an_empty_archive(tmp_path):

@@ -90,3 +90,64 @@ def test_package_imports_are_at_module_level(module):
               for node in ast.walk(top)
               if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert nested == []
+
+
+CALLERS = [path for folder in ("src", "tests", "perfbench")
+           for path in sorted((SRC.parents[1] / folder).rglob("*.py"))]
+
+
+def _defaulted(tree: ast.Module):
+    """(name, parameter, position) of every parameter with a default on a
+    function or method, position counting the call's positional arguments
+    (a method's self or cls is not one) and None for a keyword-only one; a
+    method's name is its class's when it is __init__."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = owner is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                name = owner if bound and child.name == "__init__" else child.name
+                for i, arg in enumerate(positional):
+                    if i >= len(positional) - len(args.defaults):
+                        yield name, arg.arg, i - bound
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield name, arg.arg, None
+                yield from walk(child, None)
+            else:
+                yield from walk(child, owner)
+    yield from walk(tree, None)
+
+
+def _calls() -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Per called name (a function's, or an attribute's), each call's count
+    of positional arguments, its keyword names and whether it unpacks
+    *args or **kwargs."""
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, starred))
+    return calls
+
+
+def test_every_default_is_passed_by_some_call():
+    # an option no call in the package, its tests or its benchmark sets is
+    # code nothing runs; this reads every call with ast
+    calls = _calls()
+    unset = [f"{module}: {name}({param})" for module, tree in MODULES.items()
+             for name, param, position in _defaulted(tree)
+             if not any(starred or param in keywords
+                        or (position is not None and n_positional > position)
+                        for n_positional, keywords, starred in calls.get(name, []))]
+    assert unset == []
