@@ -33,10 +33,13 @@ read again, line by line, to name its first bad line. trial_scores maps
 a score file's table into the trial list's and joins the two by integer
 pair codes, in any line order.
 
-LDA solves the generalized between/within eigenproblem by whitening the
-within-class scatter and taking the symmetric eigendecomposition
-(numpy.linalg.eigh, LAPACK); rows of the projection are sign-normalized
-so the largest-magnitude entry is positive.
+LDA and PLDA code the speaker labels once as integers, in sorted label
+order, and sum over the row groups of one stable sort of the codes; an
+empty label raises DataError. The PLDA E-step makes one posterior
+covariance per distinct embedding count. LDA whitens the within-class
+scatter and takes the symmetric eigendecomposition (numpy.linalg.eigh)
+of the between one; rows of the projection are sign-normalized so the
+largest-magnitude entry is positive.
 
 Backends are tensor containers under the magic "XVBK", the framing of
 model checkpoints, owned by binio.write_container/read_container. Their
@@ -137,7 +140,8 @@ def _matrix(embeddings: np.ndarray) -> np.ndarray:
 @dataclass
 class _ClassStats:
     """Per-speaker summary of labeled embeddings, over the retained rows
-    (speakers with two or more embeddings), in first-appearance order."""
+    (speakers with two or more embeddings). Speakers are integer codes of
+    their labels, so they come in sorted label order."""
 
     x: np.ndarray                # all rows, float64
     counts: np.ndarray           # [C] retained rows per speaker
@@ -147,29 +151,32 @@ class _ClassStats:
 
 
 def _class_stats(embeddings: np.ndarray, labels, who: str) -> _ClassStats:
+    """Code the labels once and group the retained rows by a stable sort."""
     x = _matrix(embeddings)
     if len(labels) != x.shape[0]:
         raise ConfigurationError(f"{x.shape[0]} embeddings but {len(labels)} labels")
-    by: dict[str, list[int]] = {}
-    for i, lab in enumerate(labels):
-        by.setdefault(str(lab), []).append(i)
-    retained = [np.array(idx) for idx in by.values() if len(idx) >= 2]
-    dropped = sorted(lab for lab, idx in by.items() if len(idx) < 2)
+    # an object array: a fixed-width str one strips trailing NULs, which
+    # would merge the speakers "a" and "a\x00"
+    names = np.array([str(lab) for lab in labels], dtype=object)
+    empty = names == ""
+    if empty.any():
+        raise DataError(f"{who}: embedding row {int(np.argmax(empty))} has an empty speaker label")
+    speakers, codes, sizes = np.unique(names, return_inverse=True, return_counts=True)
+    dropped = speakers[sizes < 2].tolist()
     if dropped:
         log.warning("%s: excluding %d speaker(s) with a single embedding: %s", who, len(dropped),
                     ", ".join(dropped[:5]) + ("..." if len(dropped) > 5 else ""))
-    if len(retained) < 2:
-        raise DataError(f"{who} needs >= 2 speakers with >= 2 embeddings, have {len(retained)}")
+    counts = sizes[sizes >= 2]
+    if counts.size < 2:
+        raise DataError(f"{who} needs >= 2 speakers with >= 2 embeddings, have {counts.size}")
 
-    d = x.shape[1]
-    class_means = np.stack([x[idx].mean(axis=0) for idx in retained])
-    scatter_within = np.zeros((d, d))
-    for idx, cls_mean in zip(retained, class_means):
-        dev = x[idx] - cls_mean
-        scatter_within += dev.T @ dev
-    return _ClassStats(x=x, counts=np.array([idx.size for idx in retained]),
-                       class_means=class_means, scatter_within=scatter_within,
-                       retained_mean=x[np.concatenate(retained)].mean(axis=0))
+    order = np.argsort(codes, kind="stable")
+    rows = x[order[sizes[codes[order]] >= 2]]
+    starts = np.cumsum(counts) - counts
+    class_means = np.add.reduceat(rows, starts, axis=0) / counts[:, None]
+    dev = rows - np.repeat(class_means, counts, axis=0)
+    return _ClassStats(x=x, counts=counts, class_means=class_means,
+                       scatter_within=dev.T @ dev, retained_mean=rows.mean(axis=0))
 
 
 def check_lda_dim(lda_dim: int, counts, dim: int) -> None:
@@ -200,11 +207,8 @@ def fit_preprocessor(embeddings: np.ndarray, labels, lda_dim: int) -> Preprocess
 
     n_retained = stats.counts.sum()
     s_within = stats.scatter_within / n_retained
-    s_between = np.zeros((d, d))
-    for n, cls_mean in zip(stats.counts, stats.class_means):
-        offset = cls_mean - stats.retained_mean
-        s_between += n * np.outer(offset, offset)
-    s_between /= n_retained
+    offset = stats.class_means - stats.retained_mean
+    s_between = (offset * stats.counts[:, None]).T @ offset / n_retained
 
     try:
         np.linalg.cholesky(s_within)
@@ -278,7 +282,7 @@ def _marginal_log_likelihood(m: np.ndarray, between: np.ndarray, within: np.ndar
         if sign <= 0:
             raise DataError("speaker-mean covariance is not positive definite")
         dev = class_means[sel] - m
-        quad = np.einsum("id,de,ie->i", dev, _inv(cov_n, "speaker-mean covariance"), dev)
+        quad = np.sum((dev @ _inv(cov_n, "speaker-mean covariance")) * dev, axis=1)
         ll += -0.5 * (sel.sum() * logdet_n + n * quad.sum())
     return float(ll)
 
@@ -312,28 +316,25 @@ def fit_plda(embeddings: np.ndarray, labels, num_iterations: int = 20) -> PldaMo
     for _ in range(num_iterations):
         b_inv = _inv(between, "between-speaker covariance")
         w_inv = _inv(within, "within-speaker covariance")
+        # E-step: speakers of one count share a posterior covariance, so
+        # each distinct count makes one inverse and one product; the M-step's
+        # sums of posterior covariances, plain and count-weighted, come along
+        rhs = b_inv @ m + (class_means * counts[:, None]) @ w_inv.T
         post_means = np.empty_like(class_means)
-        post_covs: dict[int, np.ndarray] = {}
+        cov_sum, n_cov_sum = np.zeros_like(between), np.zeros_like(within)
         for n in np.unique(counts):
-            post_covs[int(n)] = _inv(b_inv + n * w_inv, "posterior precision")
-        base = b_inv @ m
-        for i, n in enumerate(counts):
-            post_means[i] = post_covs[int(n)] @ (base + w_inv @ (n * class_means[i]))
+            sel = counts == n
+            post_cov = _inv(b_inv + n * w_inv, "posterior precision")
+            post_means[sel] = rhs[sel] @ post_cov.T
+            cov_sum += sel.sum() * post_cov
+            n_cov_sum += n * sel.sum() * post_cov
 
         m = post_means.mean(axis=0)
         dev = post_means - m
-        between = dev.T @ dev
-        for n, cov in post_covs.items():
-            between += (counts == n).sum() * cov
-        between /= n_classes
+        between = (dev.T @ dev + cov_sum) / n_classes
         between = 0.5 * (between + between.T)
-
-        within = s_within_total.copy()
         resid = class_means - post_means
-        within += (resid * counts[:, None]).T @ resid
-        for n, cov in post_covs.items():
-            within += counts[counts == n].sum() * cov
-        within /= n_total
+        within = (s_within_total + (resid * counts[:, None]).T @ resid + n_cov_sum) / n_total
         within = 0.5 * (within + within.T)
         lls.append(_marginal_log_likelihood(m, between, within, counts, class_means,
                                             s_within_total, n_total))

@@ -84,7 +84,6 @@ class RunConfig:
     holdout_per_speaker: int = 8
     vad_offset: float | None = None
     lda_dim: int = 10
-    plda_iterations: int = 20
     length_norm: bool = True
     scorer: str = "cosine"
     p_target: float = 0.01
@@ -99,8 +98,6 @@ class RunConfig:
             problems.append(f"holdout_per_speaker must be >= 0, got {self.holdout_per_speaker}")
         if self.lda_dim < 1:
             problems.append(f"lda_dim must be >= 1, got {self.lda_dim}")
-        if self.plda_iterations < 1:
-            problems.append(f"plda_iterations must be >= 1, got {self.plda_iterations}")
         if self.vad_offset is not None and not self.vad_offset > -math.inf:
             # -inf lifts energy_vad's threshold to +inf, which drops every frame
             problems.append(f"vad_offset must not be nan or -inf, got {self.vad_offset}")
@@ -225,7 +222,7 @@ def _fit_backend(config: RunConfig, vectors: dict[str, np.ndarray],
     projected = pre.apply(x)
     if config.length_norm:
         projected = bk.length_normalize(projected)
-    plda = bk.fit_plda(projected, labels, config.plda_iterations)
+    plda = bk.fit_plda(projected, labels)
     bk.save_backend(out, pre, plda, config.length_norm)
     return plda
 

@@ -321,25 +321,36 @@ def plda_truth():
     return mean, between, within, x, labs
 
 
+def data_scatter_start(x, labs):
+    """The fit's start, speaker by speaker: the rows' mean, the class means'
+    scatter over C speakers and the within-class scatter over N rows."""
+    labs = np.array(labs)
+    speakers = sorted(set(labs))
+    class_means = np.array([x[labs == s].mean(axis=0) for s in speakers])
+    mean = x.mean(axis=0)
+    between = (class_means - mean).T @ (class_means - mean) / len(speakers)
+    within = sum((x[labs == s] - mu).T @ (x[labs == s] - mu)
+                 for s, mu in zip(speakers, class_means)) / len(x)
+    return mean, between, within
+
+
+def brute_force_log_likelihood(x, labs, mean, between, within):
+    """The marginal log-likelihood as one joint Gaussian per speaker."""
+    labs = np.array(labs)
+    ll = 0.0
+    for s in sorted(set(labs)):
+        rows = x[labs == s]
+        n = rows.shape[0]
+        cov = np.kron(np.eye(n), within) + np.kron(np.ones((n, n)), between)
+        ll += gaussian_logpdf(rows.reshape(-1), np.tile(mean, n), cov)
+    return ll
+
+
 def test_plda_initial_likelihood_matches_brute_force(plda_truth):
-    # the fit starts from the data scatters: the rows' mean, the class
-    # means' scatter over C speakers and the within-class scatter over N rows
     _, _, _, x, labs = plda_truth
     sub, sublabs = x[: 5 * 15], labs[: 5 * 15]
     model = fit_plda(sub, sublabs, num_iterations=1)
-
-    speakers = sorted(set(sublabs))
-    class_means = np.array([sub[np.array(sublabs) == s].mean(axis=0) for s in speakers])
-    mean = sub.mean(axis=0)
-    between = (class_means - mean).T @ (class_means - mean) / len(speakers)
-    dev = sub - class_means[[speakers.index(s) for s in sublabs]]
-    within = dev.T @ dev / len(sub)
-    ll_brute = 0.0
-    for s in speakers:
-        rows = sub[np.array(sublabs) == s]
-        n = rows.shape[0]
-        cov = np.kron(np.eye(n), within) + np.kron(np.ones((n, n)), between)
-        ll_brute += gaussian_logpdf(rows.reshape(-1), np.tile(mean, n), cov)
+    ll_brute = brute_force_log_likelihood(sub, sublabs, *data_scatter_start(sub, sublabs))
     assert model.log_likelihoods[0] == pytest.approx(ll_brute, abs=1e-6)
 
 
@@ -431,10 +442,99 @@ def test_plda_excludes_singletons(plda_truth, caplog):
     assert any("excluding 1 speaker" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("fit", [fit_preprocessor, fit_plda], ids=["lda", "plda"])
+def test_fits_reject_an_empty_speaker_label(fit):
+    # an archive written before labels were required reads back '' for an
+    # unlabeled vector; pooling every such row as one speaker '' is wrong
+    x = np.random.default_rng(0).normal(size=(6, 4))
+    with pytest.raises(DataError, match="embedding row 4 has an empty speaker label"):
+        fit(x, ["a", "a", "b", "b", "", ""], 2)
+
+
+def test_fits_keep_labels_apart_that_differ_in_a_trailing_nul():
+    # a fixed-width numpy str array strips trailing NULs: "a" and "a\x00"
+    # would be one speaker there
+    x = np.random.default_rng(0).normal(size=(12, 3))
+
+    def projection(second):
+        return fit_preprocessor(x, [s for s in ("a", second, "b") for _ in range(4)], 2).projection
+
+    np.testing.assert_array_equal(projection("a\x00"), projection("a0"))
+
+
 def test_plda_needs_two_speakers():
     x = np.random.default_rng(0).normal(size=(6, 2))
     with pytest.raises(DataError):
         fit_plda(x, ["a"] * 5 + ["b"], num_iterations=1)
+
+
+# ---------------------------------------------------------------------------
+# speakers of unequal sizes: LDA and PLDA against per-speaker references
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def unequal_speakers(plda_truth):
+    """20 speakers of 2 to 6 embeddings each (five distinct counts), drawn
+    from plda_truth's model, their rows interleaved."""
+    mean, between, within, _, _ = plda_truth
+    rng = np.random.default_rng(19)
+    chol_b, chol_w = np.linalg.cholesky(between), np.linalg.cholesky(within)
+    xs, labs = [], []
+    for s, n in enumerate([2, 3, 4, 5, 6] * 4):
+        y = mean + chol_b @ rng.normal(size=3)
+        xs += [y + chol_w @ rng.normal(size=3) for _ in range(n)]
+        labs += [f"spk{s:02d}"] * n
+    order = rng.permutation(len(labs))
+    return np.array(xs)[order], [labs[i] for i in order]
+
+
+def test_lda_scatters_of_unequal_speakers_match_a_per_speaker_reference(unequal_speakers):
+    # P S_w P^T = I and P S_b P^T diagonal hold for the per-speaker scatters
+    # only if the fit weighted each speaker's mean by its count
+    x, labs = unequal_speakers
+    s_w, s_b = class_scatters(x, labs)
+    p = fit_preprocessor(x, labs, lda_dim=3).projection
+    np.testing.assert_allclose(p @ s_w @ p.T, np.eye(3), rtol=0, atol=1e-10)
+    b = p @ s_b @ p.T
+    np.testing.assert_allclose(b - np.diag(np.diag(b)), 0.0, rtol=0, atol=1e-10)
+
+
+def test_plda_initial_likelihood_of_unequal_speakers_matches_brute_force(unequal_speakers):
+    x, labs = unequal_speakers
+    model = fit_plda(x, labs, num_iterations=1)
+    ll_brute = brute_force_log_likelihood(x, labs, *data_scatter_start(x, labs))
+    assert model.log_likelihoods[0] == pytest.approx(ll_brute, abs=1e-6)
+
+
+def test_plda_likelihood_of_unequal_speakers_never_decreases(unequal_speakers):
+    x, labs = unequal_speakers
+    lls = np.array(fit_plda(x, labs, num_iterations=25).log_likelihoods)
+    assert lls.shape == (26,)
+    assert np.all(np.diff(lls) >= -1e-8)
+
+
+def test_plda_em_iteration_of_unequal_speakers_matches_a_per_speaker_reference(unequal_speakers):
+    # one EM iteration from the data-scatter start, speaker by speaker: each
+    # speaker's posterior N(mu, C) with C = (B^-1 + n W^-1)^-1 and
+    # mu = C (B^-1 m + W^-1 sum(rows)); B and W are the expected scatters
+    x, labs = unequal_speakers
+    mean, between, within = data_scatter_start(x, labs)
+    b_inv, w_inv = np.linalg.inv(between), np.linalg.inv(within)
+    post = []
+    for s in sorted(set(labs)):
+        rows = x[np.array(labs) == s]
+        cov = np.linalg.inv(b_inv + len(rows) * w_inv)
+        post.append((rows, cov @ (b_inv @ mean + w_inv @ rows.sum(axis=0)), cov))
+    want_mean = np.mean([mu for _, mu, _ in post], axis=0)
+    want_between = sum(np.outer(mu - want_mean, mu - want_mean) + cov
+                       for _, mu, cov in post) / len(post)
+    want_within = sum((rows - mu).T @ (rows - mu) + len(rows) * cov
+                      for rows, mu, cov in post) / len(x)
+
+    model = fit_plda(x, labs, num_iterations=1)
+    np.testing.assert_allclose(model.mean, want_mean, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(model.between, want_between, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(model.within, want_within, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from xveckit import backend
+from xveckit import backend, binio
 from xveckit.backend import read_embeddings, write_embeddings
 from xveckit.cli import RunConfig, main, parse_config, serialize_config, system_name
 from xveckit.data import CorpusSpec, Manifest
@@ -146,6 +146,12 @@ def test_config_skips_comments_and_blanks():
 def test_config_unknown_key_names_the_line():
     with pytest.raises(ConfigurationError, match="3"):
         parse_config("seed = 1\n\nnot_a_key = 2\n")
+
+
+def test_config_rejects_plda_iterations_as_an_unknown_key():
+    # the PLDA fit always runs fit_plda's 20 EM iterations
+    with pytest.raises(ConfigurationError, match="unknown key 'plda_iterations'"):
+        parse_config("plda_iterations = 20\n")
 
 
 def test_config_bad_value():
@@ -598,6 +604,30 @@ def test_train_backend_rejects_an_empty_archive(workspace, tmp_path, caplog):
     assert main(["train-backend", "--config", str(cfg), "--embeddings", str(empty),
                  "--out", str(tmp_path / "b.xvbk")]) == 1
     assert "empty.xveb: the archive holds no embeddings" in caplog.text
+
+
+def test_an_unlabeled_embedding_stops_train_backend_not_score(workspace, tmp_path, caplog):
+    # an archive as write_embeddings framed it before it required a label:
+    # fitting on it would pool u4 and u5 as one speaker ''
+    _, cfg = workspace
+    speakers = {"u0": "a", "u1": "a", "u2": "b", "u3": "b", "u4": "", "u5": ""}
+    archive = tmp_path / "e.xveb"
+    with open(archive, "wb") as fh:
+        fh.write(b"XVEB")
+        for value in (1, len(speakers), 4):
+            binio.write_u32(fh, value)
+        for i, (utt, spk) in enumerate(speakers.items()):
+            binio.write_blob(fh, utt.encode())
+            binio.write_blob(fh, spk.encode())
+            fh.write(np.random.default_rng(i).normal(size=4).astype("<f4").tobytes())
+    assert main(["train-backend", "--config", str(cfg), "--embeddings", str(archive),
+                 "--lda-dim", "2", "--out", str(tmp_path / "b.xvbk")]) == 1
+    assert "LDA: embedding row 4 has an empty speaker label" in caplog.text
+    assert not (tmp_path / "b.xvbk").exists()
+    backend.write_trials(tmp_path / "trials.txt", backend.all_pairs_trials(speakers))
+    assert main(["score", "--config", str(cfg), "--trials", str(tmp_path / "trials.txt"),
+                 "--embeddings", str(archive), "--out", str(tmp_path / "s.txt")]) == 0
+    assert len(backend.read_scores(tmp_path / "s.txt")) == 15
 
 
 def test_train_backend_rejects_a_zero_within_speaker_scatter(workspace, tmp_path, caplog):

@@ -151,3 +151,31 @@ def test_every_default_is_passed_by_some_call():
                         or (position is not None and n_positional > position)
                         for n_positional, keywords, starred in calls.get(name, []))]
     assert unset == []
+
+
+def _set_names(tree: ast.AST) -> set[str]:
+    """Every name a file sets as a value: a keyword argument, a string key
+    of a dict literal (kwargs built as a dict) or a `name =` line of a
+    string constant (config text)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(k.value for k in node.keys
+                         if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(line.partition("=")[0].strip()
+                         for line in node.value.splitlines() if "=" in line)
+    return names
+
+
+def test_every_config_key_is_set_by_some_test_or_benchmark():
+    # a RunConfig field that no test and no benchmark run sets to a value of
+    # its own is a key only its default ever reaches
+    run_config = next(node for node in MODULES["cli.py"].body
+                      if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    fields = [node.target.id for node in run_config.body if isinstance(node, ast.AnnAssign)]
+    set_names = set().union(*(_set_names(ast.parse(path.read_text(encoding="utf-8")))
+                              for path in CALLERS if SRC not in path.parents))
+    assert [name for name in fields if name not in set_names] == []
