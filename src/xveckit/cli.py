@@ -33,7 +33,7 @@ import numpy as np
 from . import backend as bk
 from . import binio
 from .data import CorpusSpec, Manifest, check_holdout, energy_vad, generate_corpus
-from .errors import ConfigurationError, ToolkitError, UsageError
+from .errors import ConfigurationError, DataError, ToolkitError, UsageError
 from .metrics import DcfParams, MetricsReport, detection_metrics
 from .model import (
     EpochStats,
@@ -216,6 +216,9 @@ def _fit_backend(config: RunConfig, vectors: dict[str, np.ndarray],
                  speakers: dict[str, str], out: Path | str) -> bk.PldaModel:
     """Fit centering + LDA, length normalization and PLDA; save to `out`."""
     ids = sorted(vectors)
+    unlabeled = [u for u in ids if not speakers[u]]
+    if unlabeled:
+        raise DataError(f"embedding of utterance '{unlabeled[0]}' has an empty speaker label")
     x = np.stack([vectors[u] for u in ids])
     labels = [speakers[u] for u in ids]
     pre = bk.fit_preprocessor(x, labels, config.lda_dim)

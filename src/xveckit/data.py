@@ -12,7 +12,13 @@ and shape: per speaker a mean drawn from N(0, spread^2 I), per-dimension
 scales from U[0.5, 1.5], and a two-component asymmetric Gaussian mixture
 for the frame innovations, so third and fourth order statistics carry
 speaker identity. Frames are AR(1)-correlated in time. Everything is
-driven by one seeded generator: same spec, same bytes.
+driven by one seeded generator: same spec, same bytes. The draw order is
+part of that contract: per speaker the mean, the scales, the mixture
+weight and first mean, then the two widths; per utterance the length, the
+component picks and the Gaussian draws. The AR(1) filter runs over a
+block of utterances at a time (READ_BLOCK innovation values), one time
+step for the whole block, with the per-frame recurrence's float64
+arithmetic, so the bytes do not depend on how the corpus is cut.
 """
 
 from __future__ import annotations
@@ -61,6 +67,11 @@ _HEADER = struct.Struct("<4sII")
 # Minimum crop length accepted by make_batches; the frame layers of the
 # default network consume 14 frames of context.
 MIN_CROP = 15
+
+# Innovation values (utterances x max_frames x feature_dim, padded) that
+# generate_corpus filters as one block, so its memory does not grow with
+# the corpus. A block holds at least one utterance.
+READ_BLOCK = 1 << 20
 
 
 @dataclass
@@ -236,17 +247,11 @@ def read_features(path: Path | str, utt_id: str = "", speaker_id: str = "") -> F
     return FeatureMatrix(utt_id=utt_id, speaker_id=speaker_id, frames=frames.copy())
 
 
-def generate_corpus(spec: CorpusSpec, out_dir: Path | str) -> Manifest:
-    """Synthesize a corpus under out_dir and return its saved manifest."""
-    spec.validate()
-    out = Path(out_dir)
-    (out / "features").mkdir(parents=True, exist_ok=True)
+def _utterances(spec: CorpusSpec) -> Iterator[tuple[ManifestEntry, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (entry, mean, scales, innovations [T, D]) per utterance, drawing
+    from one generator seeded with spec.seed in the contract's order."""
     rng = np.random.default_rng(spec.seed)
     d = spec.feature_dim
-    ar = spec.ar_coeff
-    innov_gain = float(np.sqrt(1.0 - ar * ar))
-
-    entries: list[ManifestEntry] = []
     for s in range(spec.num_speakers):
         spk = f"spk{s:04d}"
         mean = rng.normal(0.0, spec.spread, size=d)
@@ -262,18 +267,55 @@ def generate_corpus(spec: CorpusSpec, out_dir: Path | str) -> Manifest:
             t = int(rng.integers(spec.min_frames, spec.max_frames + 1))
             pick = rng.random((t, d)) < w
             gauss = rng.standard_normal((t, d))
-            innov = np.where(pick, -m1 + s1 * gauss, m2 + s2 * gauss)
-            frames = np.empty((t, d))
-            prev = innov[0]
-            frames[0] = prev
-            for i in range(1, t):
-                prev = ar * prev + innov_gain * innov[i]
-                frames[i] = prev
             utt = f"{spk}_utt{u:04d}"
-            rel = f"features/{utt}.xvf"
-            fm = FeatureMatrix(utt, spk, (mean + scales * frames).astype(np.float32))
-            write_features(out / rel, fm)
-            entries.append(ManifestEntry(utt, spk, rel, t))
+            yield (ManifestEntry(utt, spk, f"features/{utt}.xvf", t), mean, scales,
+                   np.where(pick, -m1 + s1 * gauss, m2 + s2 * gauss))
+
+
+def _write_block(out: Path, block: np.ndarray, rows: list, ar: float) -> None:
+    """AR(1)-filter the first len(rows) utterances of a [T, U, D] innovation
+    block in place, one time step for all of them, then scale and write
+    each. Per value this is the per-frame recurrence frame[0] = innov[0],
+    frame[i] = ar * frame[i - 1] + sqrt(1 - ar^2) * innov[i], in float64;
+    frames past an utterance's length are padding and never written."""
+    x = block[:max(entry.num_frames for entry, _, _ in rows), :len(rows)]
+    x[1:] *= float(np.sqrt(1.0 - ar * ar))
+    # the two rounded products are added as in the recurrence; IEEE
+    # addition commutes, so adding the carried term second gives the same bits
+    carried = np.empty(x.shape[1:])
+    for i in range(1, x.shape[0]):
+        np.multiply(x[i - 1], ar, out=carried)
+        x[i] += carried
+    for j, (entry, mean, scales) in enumerate(rows):
+        frames = (mean + scales * x[:entry.num_frames, j]).astype(np.float32)
+        write_features(out / entry.path, FeatureMatrix(entry.utt_id, entry.speaker_id, frames))
+
+
+def generate_corpus(spec: CorpusSpec, out_dir: Path | str) -> Manifest:
+    """Synthesize a corpus under out_dir and return its saved manifest.
+
+    Draws come in the order the module docstring states, and the filter
+    runs a block of READ_BLOCK values at a time with the per-frame
+    recurrence's arithmetic: the bytes depend on the spec alone, whatever
+    the block, and memory on the block, not on the corpus."""
+    spec.validate()
+    out = Path(out_dir)
+    (out / "features").mkdir(parents=True, exist_ok=True)
+    per_block = min(max(1, READ_BLOCK // (spec.max_frames * spec.feature_dim)),
+                    spec.num_speakers * spec.utterances_per_speaker)
+    # zeros, not empty: padding is filtered too and must stay finite
+    block = np.zeros((spec.max_frames, per_block, spec.feature_dim))
+    entries: list[ManifestEntry] = []
+    rows: list[tuple[ManifestEntry, np.ndarray, np.ndarray]] = []
+    for entry, mean, scales, innov in _utterances(spec):
+        block[:entry.num_frames, len(rows)] = innov
+        rows.append((entry, mean, scales))
+        entries.append(entry)
+        if len(rows) == per_block:
+            _write_block(out, block, rows, spec.ar_coeff)
+            rows = []
+    if rows:
+        _write_block(out, block, rows, spec.ar_coeff)
     manifest = Manifest(entries, base_dir=out)
     manifest.save(out / "manifest.csv")
     return manifest

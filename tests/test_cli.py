@@ -622,7 +622,8 @@ def test_an_unlabeled_embedding_stops_train_backend_not_score(workspace, tmp_pat
             fh.write(np.random.default_rng(i).normal(size=4).astype("<f4").tobytes())
     assert main(["train-backend", "--config", str(cfg), "--embeddings", str(archive),
                  "--lda-dim", "2", "--out", str(tmp_path / "b.xvbk")]) == 1
-    assert "LDA: embedding row 4 has an empty speaker label" in caplog.text
+    # named by utterance id, not by its row in the stacked matrix
+    assert "embedding of utterance 'u4' has an empty speaker label" in caplog.text
     assert not (tmp_path / "b.xvbk").exists()
     backend.write_trials(tmp_path / "trials.txt", backend.all_pairs_trials(speakers))
     assert main(["score", "--config", str(cfg), "--trials", str(tmp_path / "trials.txt"),

@@ -1,6 +1,8 @@
 """Corpus generation, feature files, manifests, VAD, and batching."""
 
 import csv
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +52,91 @@ def test_generation_is_bit_identical(corpus, tmp_path):
     for e in manifest:
         assert (tmp_path / e.path).read_bytes() == (out / e.path).read_bytes()
     assert [e.utt_id for e in again] == [e.utt_id for e in manifest]
+
+
+def _per_frame_corpus(spec, out):
+    """The generator as it was before block filtering: one utterance at a
+    time, the AR(1) filter a Python loop over frames. The byte oracle."""
+    (out / "features").mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(spec.seed)
+    d = spec.feature_dim
+    ar = spec.ar_coeff
+    innov_gain = float(np.sqrt(1.0 - ar * ar))
+    entries = []
+    for s in range(spec.num_speakers):
+        spk = f"spk{s:04d}"
+        mean = rng.normal(0.0, spec.spread, size=d)
+        scales = rng.uniform(0.5, 1.5, size=d)
+        w = rng.uniform(0.25, 0.75)
+        m1 = rng.uniform(0.5, 1.5)
+        m2 = w * m1 / (1.0 - w)
+        s1, s2 = rng.uniform(0.6, 1.4, size=2)
+        for u in range(spec.utterances_per_speaker):
+            t = int(rng.integers(spec.min_frames, spec.max_frames + 1))
+            pick = rng.random((t, d)) < w
+            gauss = rng.standard_normal((t, d))
+            innov = np.where(pick, -m1 + s1 * gauss, m2 + s2 * gauss)
+            frames = np.empty((t, d))
+            prev = innov[0]
+            frames[0] = prev
+            for i in range(1, t):
+                prev = ar * prev + innov_gain * innov[i]
+                frames[i] = prev
+            utt = f"{spk}_utt{u:04d}"
+            rel = f"features/{utt}.xvf"
+            write_features(out / rel, FeatureMatrix(utt, spk, (mean + scales * frames).astype(np.float32)))
+            entries.append(ManifestEntry(utt, spk, rel, t))
+    Manifest(entries, base_dir=out).save(out / "manifest.csv")
+
+
+def _assert_same_corpus(spec, tmp_path):
+    generate_corpus(spec, tmp_path / "blocks")
+    _per_frame_corpus(spec, tmp_path / "frames")
+    want = sorted(p.relative_to(tmp_path / "frames") for p in (tmp_path / "frames").rglob("*.*"))
+    got = sorted(p.relative_to(tmp_path / "blocks") for p in (tmp_path / "blocks").rglob("*.*"))
+    assert got == want
+    assert len(want) == spec.num_speakers * spec.utterances_per_speaker + 1
+    for rel in want:
+        assert (tmp_path / "blocks" / rel).read_bytes() == (tmp_path / "frames" / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("change", [
+    {},
+    {"min_frames": 50, "max_frames": 50},
+    {"utterances_per_speaker": 1},
+    {"ar_coeff": 0.0},
+    {"feature_dim": 1},
+], ids=["spec", "fixed-length", "one-utterance", "no-ar", "dim-1"])
+def test_block_filter_matches_the_per_frame_recurrence(change, tmp_path):
+    _assert_same_corpus(dataclasses.replace(SPEC, **change), tmp_path)
+
+
+# SPEC's 36 utterances of at most 60 x 4 values: budgets that cut it into
+# blocks of 4 (across speaker boundaries, the last one exactly full), 5
+# (a short last block), 6 (one speaker a block), 1 (a budget smaller than
+# one utterance) and 3 (one value short of 4 utterances).
+@pytest.mark.parametrize("budget", [4 * 240, 5 * 240, 6 * 240, 239, 4 * 240 - 1])
+def test_corpus_bytes_do_not_depend_on_the_block_budget(budget, tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "READ_BLOCK", budget)
+    _assert_same_corpus(SPEC, tmp_path)
+
+
+def test_generation_memory_is_bounded_by_the_block(tmp_path, monkeypatch):
+    # 160 utterances of at most 128 x 8 values, 32 to a block of 32,768
+    # values: filtered whole, the padded corpus alone would take 1.25 MiB
+    monkeypatch.setattr(data, "READ_BLOCK", 1 << 15)
+    spec = CorpusSpec(num_speakers=8, utterances_per_speaker=20, feature_dim=8,
+                      min_frames=100, max_frames=128, seed=7)
+    # a first call's one-off imports and caches are not the generator's memory
+    generate_corpus(dataclasses.replace(spec, num_speakers=2, utterances_per_speaker=1),
+                    tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        generate_corpus(spec, tmp_path / "corpus")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * data.READ_BLOCK, peak
 
 
 def test_corpus_shape_contract(corpus):
