@@ -5,12 +5,12 @@ serves as the utterance embedding, trainable jointly with an auxiliary
 head that reconstructs the first four per-dimension statistics of its
 input. Includes a self-contained reverse-mode autodiff engine, a
 synthetic corpus generator, an LDA + PLDA / cosine scoring backend,
-and EER / detection-cost evaluation with a brute-force oracle.
+and EER / detection-cost evaluation.
 
 Subpackages: autodiff, stats, data, model, backend, metrics, cli.
 """
 
-from .autodiff import Tape, Tensor, backward, grad_check
+from .autodiff import Tape, Tensor, backward, grad_check, stats_pool
 from .backend import (
     PldaModel,
     Preprocessor,
@@ -22,7 +22,7 @@ from .backend import (
 )
 from .data import CorpusSpec, FeatureMatrix, Manifest, energy_vad, generate_corpus
 from .errors import ToolkitError
-from .metrics import DcfParams, MetricsReport, detection_metrics, metrics_oracle
+from .metrics import DcfParams, MetricsReport, detection_metrics
 from .model import (
     Model,
     ModelConfig,
@@ -32,7 +32,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .stats import hos_vector, moments, stats_pool
+from .stats import hos_vector, moments
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,7 @@ __all__ = [
     "Tensor",
     "backward",
     "grad_check",
+    "stats_pool",
     "PldaModel",
     "Preprocessor",
     "all_pairs_trials",
@@ -57,7 +58,6 @@ __all__ = [
     "DcfParams",
     "MetricsReport",
     "detection_metrics",
-    "metrics_oracle",
     "Model",
     "ModelConfig",
     "build_model",
@@ -67,6 +67,5 @@ __all__ = [
     "train",
     "hos_vector",
     "moments",
-    "stats_pool",
     "__version__",
 ]

@@ -6,8 +6,8 @@ embedding network needs: dilated 1-d convolution over [N, T, C] frames
 and dense layers over [N, F] rows, each with an optional built-in relu
 and batch norm (a dense layer is a one-tap convolution over frames of
 length one, so both run one body); batch normalization on its own over
-[N, F] or [N, T, F]; the two losses; and a handful of glue ops.
-Statistics pooling lives in stats.py. Backward runs the tape once in
+[N, F] or [N, T, F]; mean + stddev pooling of [N, T, F] frames; the two
+losses; and a handful of glue ops. Backward runs the tape once in
 reverse; every op's backward closure accumulates into the gradients of
 its inputs.
 
@@ -44,6 +44,7 @@ from .errors import (
     ConfigurationError,
     DataError,
     InputTooShortError,
+    PoolingError,
     TrainingDivergedError,
     UsageError,
 )
@@ -62,6 +63,8 @@ __all__ = [
     "BN_EPS",
     "BatchNormState",
     "batchnorm1d",
+    "POOL_EPS",
+    "stats_pool",
     "softmax_cross_entropy",
     "mse_loss",
     "OptimizerState",
@@ -441,6 +444,40 @@ def batchnorm1d(inp: Tensor, gamma: Tensor, beta: Tensor, mode: str,
         def bwd(g: np.ndarray) -> None:
             gx = _bn_backward(g.reshape(-1, f), xc, inv, gamma, beta, mode)
             _accumulate(inp, gx.reshape(inp.data.shape), fresh=True)
+        tape.record(out, bwd)
+    return out
+
+
+# Variance floor inside the pooling square root; keeps the gradient
+# finite when a channel is constant over the pooled frames.
+POOL_EPS = 1e-8
+
+
+def stats_pool(frames: Tensor, tape: Tape | None = None) -> Tensor:
+    """Pool [N, T', F] frame activations to [N, 2F]: mean, then stddev,
+    per channel. The stddev is sqrt(population variance + POOL_EPS).
+    """
+    x = frames.data
+    if x.ndim != 3:
+        raise ConfigurationError(f"stats_pool input must be [N, T, F], got shape {x.shape}")
+    _, t, f = x.shape
+    if t < 2:
+        raise PoolingError(f"stats_pool needs at least 2 frames, got {t}")
+    mu = x.mean(axis=1)
+    centered = x - mu[:, None, :]
+    # einsum sums the squares without a full-size temporary.
+    var = np.einsum("ntf,ntf->nf", centered, centered) / t
+    std = np.sqrt(var + POOL_EPS)
+    out = Tensor(np.concatenate([mu, std], axis=1))
+
+    if tape is not None:
+        def bwd(g: np.ndarray) -> None:
+            if not _wants_grad(frames):
+                return
+            gx = centered
+            gx *= g[:, None, f:] / (t * std[:, None, :])
+            gx += g[:, None, :f] / t
+            _accumulate(frames, gx, fresh=True)
         tape.record(out, bwd)
     return out
 

@@ -9,17 +9,13 @@ hypothesis. Preprocessor.apply and length_normalize map [N, D] rows and
 raise ConfigurationError on any other shape.
 
 score_trials takes a Trials (as read_trials and all_pairs_trials return)
-and returns one float64 score per trial, in trial order: a PLDA
-log-likelihood ratio when given a PldaModel, a cosine similarity
-otherwise. It works per utterance, then per block of trials. Each
-utterance a trial list names is preprocessed and normalized once, and
-PLDA computes its quadratic form and its product with the cross matrix
-once; the trials are then scored SCORE_BLOCK at a time, each a gather of
-its two rows and one dot product. So the cost is O(U d^2 + T d) time and
-O(U d + SCORE_BLOCK d) memory for U utterances and T trials, beside a
-few int and float columns of length T. A trial list that names one
-(enroll, test) pair twice is rejected by _check_unique, for score_trials
-and for trial_scores alike; (a, b) and (b, a) are two trials.
+and returns one float64 score per trial, in trial order. It works per
+utterance, then per block of trials (its docstring says how), so the
+cost is O(U d^2 + T d) time and O(U d + SCORE_BLOCK d) memory for U
+utterances and T trials, beside a few int and float columns of length
+T. Both scorers are symmetric, so a
+trial list that names one pair twice, as (a, b) or (b, a), is rejected by
+_check_unique, for score_trials and for trial_scores alike.
 
 Trial lists and score files are id rows, not one object per trial: a
 table of the distinct ids and, per trial, the rows of its enroll and
@@ -42,10 +38,10 @@ of the between one; rows of the projection are sign-normalized so the
 largest-magnitude entry is positive.
 
 Backends are tensor containers under the magic "XVBK", the framing of
-model checkpoints, owned by binio.write_container/read_container. Their
-metadata holds length_norm alone; the tensors are the centering mean and
-the LDA projection, then the PLDA mean, between and within covariances
-when PLDA was fit, and the dimensions are read off their shapes.
+model checkpoints, owned by binio.write_container/read_container, and
+hold the whole chain fit_backend fits: metadata length_norm alone, then
+the centering mean, the LDA projection and the PLDA mean, between and
+within covariances, whose shapes give the dimensions.
 Embedding archives ("XVEB") are framed here and check their magic and
 version through binio.Reader.header; write_embeddings requires a speaker
 label for every vector. Trial files are text lines
@@ -73,6 +69,7 @@ __all__ = [
     "length_normalize",
     "PldaModel",
     "fit_plda",
+    "fit_backend",
     "Trial",
     "Trials",
     "Scores",
@@ -341,6 +338,23 @@ def fit_plda(embeddings: np.ndarray, labels, num_iterations: int = 20) -> PldaMo
     return PldaModel(mean=m, between=between, within=within, log_likelihoods=lls)
 
 
+def fit_backend(embeddings: dict[str, np.ndarray], speakers: dict[str, str], lda_dim: int,
+                length_norm: bool) -> tuple[Preprocessor, PldaModel]:
+    """Fit the chain score_trials applies, on the rows in sorted id order:
+    centering + LDA, length normalization if `length_norm`, then PLDA. An
+    empty speaker label raises DataError naming the utterance."""
+    ids = sorted(embeddings)
+    labels = [speakers[u] for u in ids]
+    if "" in labels:
+        raise DataError(f"embedding of utterance '{ids[labels.index('')]}' has an empty speaker label")
+    x = np.stack([embeddings[u] for u in ids])
+    pre = fit_preprocessor(x, labels, lda_dim)
+    projected = pre.apply(x)
+    if length_norm:
+        projected = length_normalize(projected)
+    return pre, fit_plda(projected, labels)
+
+
 @dataclass
 class Trial:
     enroll_id: str
@@ -433,14 +447,13 @@ def _first_repeat(codes: np.ndarray) -> tuple[int, int] | None:
     return i, int(order[np.searchsorted(ranked, codes[i])])
 
 
-def _check_unique(trials: Trials, codes: np.ndarray) -> None:
-    """Raise DataError naming the first trial that repeats an earlier
-    (enroll, test) pair, whatever the labels, from the trials' pair codes
-    (or those of the first trials)."""
-    repeat = _first_repeat(codes)
+def _check_unique(trials: Trials, enroll: np.ndarray, test: np.ndarray, n: int) -> None:
+    """Raise DataError naming the first trial whose pair of rows (< n), in
+    either order and whatever the labels, an earlier trial holds."""
+    repeat = _first_repeat(np.minimum(enroll, test) * n + np.maximum(enroll, test))
     if repeat is not None:
         i, j = repeat
-        t = trials[i]
+        t = trials[j]
         raise DataError(f"trial {i + 1}: repeats trial {j + 1} ({t.enroll_id} {t.test_id})")
 
 
@@ -456,9 +469,8 @@ def score_trials(trials: Trials, embeddings: dict[str, np.ndarray],
     product. Without `plda` the scores are cosine similarities, which
     always normalize; with it they are PLDA log-likelihood ratios, and the
     length_norm flag controls the normalization stage. Unknown trial ids,
-    and a trial list naming one (enroll, test) pair twice, raise DataError
-    naming the first trial at fault. (a, b) and (b, a) are two trials,
-    though both scorers give them one score.
+    and a trial list naming one pair twice, as (a, b) or as (b, a), raise
+    DataError naming the first trial at fault.
     """
     if not len(trials):
         raise DataError("empty trial list")
@@ -474,7 +486,7 @@ def score_trials(trials: Trials, embeddings: dict[str, np.ndarray],
         i = int(np.argmax(~known[enroll] | ~known[test]))
         utt = ids[enroll[i]] if not known[enroll[i]] else ids[test[i]]
         raise DataError(f"trial {i + 1}: no embedding for utterance '{utt}'")
-    _check_unique(trials, enroll * len(ids) + test)
+    _check_unique(trials, enroll, test, len(ids))
 
     x = np.stack([np.asarray(embeddings[u], dtype=np.float64) for u in ids])
     if preprocessor is not None:
@@ -517,8 +529,8 @@ def _plda_terms(model: PldaModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
 def trial_scores(trials: Trials, scores: Scores, source: Path | str) -> np.ndarray:
     """Each trial's score, matched by its (enroll, test) pair; scores of
     pairs the trial list does not hold are ignored. Raises DataError
-    naming the first trial that repeats an earlier one or has no score in
-    `source`, whichever comes first."""
+    naming the first trial that repeats an earlier one (in either order)
+    or has no score in `source`, whichever comes first."""
     row = {u: i for i, u in enumerate(trials.ids)}
     # the score file's rows in the trial list's table; -1 for an id it lacks
     remap = np.fromiter((row.get(u, -1) for u in scores.ids), np.intp, len(scores.ids))
@@ -530,7 +542,7 @@ def trial_scores(trials: Trials, scores: Scores, source: Path | str) -> np.ndarr
     at[by_want] = by_have[np.minimum(np.searchsorted(have[by_have], want[by_want]), len(have) - 1)]
     missing = have[at] != want
     first_missing = int(np.argmax(missing)) if missing.any() else len(want)
-    _check_unique(trials, want[:first_missing])
+    _check_unique(trials, trials.enroll[:first_missing], trials.test[:first_missing], len(row))
     if first_missing < len(want):
         t = trials[first_missing]
         raise DataError(f"trial {first_missing + 1} ({t.enroll_id} {t.test_id}) "
@@ -701,35 +713,30 @@ def read_scores(path: Path | str) -> Scores:
     return scores
 
 
-def save_backend(path: Path | str, preprocessor: Preprocessor,
-                 plda: PldaModel | None = None, length_norm: bool = True) -> None:
-    arrays = [preprocessor.mean, preprocessor.projection]
-    if plda is not None:
-        arrays += [plda.mean, plda.between, plda.within]
+def save_backend(path: Path | str, preprocessor: Preprocessor, plda: PldaModel,
+                 length_norm: bool) -> None:
+    arrays = [preprocessor.mean, preprocessor.projection, plda.mean, plda.between, plda.within]
     binio.write_container(path, BACKEND_MAGIC, BACKEND_VERSION,
                           {"length_norm": int(length_norm)}, arrays)
 
 
-def load_backend(path: Path | str) -> tuple[Preprocessor, PldaModel | None, bool]:
+def load_backend(path: Path | str) -> tuple[Preprocessor, PldaModel, bool]:
     meta, arrays = binio.read_container(path, BACKEND_MAGIC, BACKEND_VERSION, "a backend file")
     try:
         length_norm = bool(int(meta["length_norm"]))
     except (KeyError, ValueError) as err:
         raise ParseError(f"{path}: bad backend metadata ({err})") from None
-    if len(arrays) not in (2, 5):
-        raise DimMismatchError(f"{path}: expected 2 or 5 tensors, file has {len(arrays)}")
-    mean, projection, *plda_arrays = [np.asarray(arr, dtype=np.float64) for arr in arrays]
+    if len(arrays) != 5:
+        raise DimMismatchError(f"{path}: expected 5 tensors, file has {len(arrays)}")
+    mean, projection, p_mean, between, within = [np.asarray(a, dtype=np.float64) for a in arrays]
     if projection.ndim != 2 or mean.shape != projection.shape[1:]:
         raise DimMismatchError(f"{path}: mean shaped {mean.shape} does not fit "
                                f"projection shaped {projection.shape}")
-    plda = None
-    if plda_arrays:
-        p_mean, between, within = plda_arrays
-        k = projection.shape[0]
-        if p_mean.shape != (k,) or between.shape != (k, k) or within.shape != (k, k):
-            raise DimMismatchError(f"{path}: PLDA tensor shapes do not fit LDA dim {k}")
-        plda = PldaModel(mean=p_mean, between=between, within=within)
-    return Preprocessor(mean=mean, projection=projection), plda, length_norm
+    k = projection.shape[0]
+    if p_mean.shape != (k,) or between.shape != (k, k) or within.shape != (k, k):
+        raise DimMismatchError(f"{path}: PLDA tensor shapes do not fit LDA dim {k}")
+    return (Preprocessor(mean=mean, projection=projection),
+            PldaModel(mean=p_mean, between=between, within=within), length_norm)
 
 
 def write_embeddings(path: Path | str, vectors: dict[str, np.ndarray],

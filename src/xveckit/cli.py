@@ -3,8 +3,9 @@
 Subcommands cover the whole workflow: gen-data, train, extract,
 train-backend, score, evaluate, gradcheck, and sweep (train several
 systems over a task-weight/order grid and print one comparison table).
-A sweep splits its corpus once, by Manifest.split, and every system
-trains, embeds and scores on that split and one all-pairs trial list.
+A sweep bounds its split by check_holdout and splits once, by
+Manifest.split; every system trains, embeds and scores on that split and
+one all-pairs trial list, and a PLDA one fits backend.fit_backend's chain.
 
 Configuration is a flat key = value text file; every key has a default,
 unknown keys are rejected, and the effective values are logged at
@@ -24,7 +25,6 @@ import dataclasses
 import logging
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,7 +33,7 @@ import numpy as np
 from . import backend as bk
 from . import binio
 from .data import CorpusSpec, Manifest, check_holdout, energy_vad, generate_corpus
-from .errors import ConfigurationError, DataError, ToolkitError, UsageError
+from .errors import ConfigurationError, ToolkitError, UsageError
 from .metrics import DcfParams, MetricsReport, detection_metrics
 from .model import (
     EpochStats,
@@ -212,30 +212,12 @@ def _train_system(config: RunConfig, train_part: Manifest,
     return model, train(model, train_part, out_dir=out)
 
 
-def _fit_backend(config: RunConfig, vectors: dict[str, np.ndarray],
-                 speakers: dict[str, str], out: Path | str) -> bk.PldaModel:
-    """Fit centering + LDA, length normalization and PLDA; save to `out`."""
-    ids = sorted(vectors)
-    unlabeled = [u for u in ids if not speakers[u]]
-    if unlabeled:
-        raise DataError(f"embedding of utterance '{unlabeled[0]}' has an empty speaker label")
-    x = np.stack([vectors[u] for u in ids])
-    labels = [speakers[u] for u in ids]
-    pre = bk.fit_preprocessor(x, labels, config.lda_dim)
-    projected = pre.apply(x)
-    if config.length_norm:
-        projected = bk.length_normalize(projected)
-    plda = bk.fit_plda(projected, labels)
-    bk.save_backend(out, pre, plda, config.length_norm)
-    return plda
-
-
 def _score(config: RunConfig, trials: bk.Trials, vectors: dict[str, np.ndarray],
            backend: Path | str | None, out: Path | str) -> None:
     """Score trials with config.scorer, through `backend` if given; write `out`."""
+    if config.scorer == "plda" and not backend:
+        raise ConfigurationError("plda scoring needs --backend")
     pre, plda, length_norm = bk.load_backend(backend) if backend else (None, None, True)
-    if config.scorer == "plda" and plda is None:
-        raise ConfigurationError("plda scoring needs --backend with a fitted model")
     scores = bk.score_trials(trials, vectors, preprocessor=pre,
                              plda=plda if config.scorer == "plda" else None,
                              length_norm=length_norm)
@@ -270,7 +252,8 @@ def _cmd_extract(args) -> int:
 def _cmd_train_backend(args) -> int:
     config = _load_config(args)
     vectors, speakers = bk.read_embeddings(args.embeddings)
-    plda = _fit_backend(config, vectors, speakers, args.out)
+    pre, plda = bk.fit_backend(vectors, speakers, config.lda_dim, config.length_norm)
+    bk.save_backend(args.out, pre, plda, config.length_norm)
     lls = plda.log_likelihoods
     print(f"backend fit on {len(vectors)} embeddings: lda_dim {config.lda_dim}, "
           f"plda log-likelihood {lls[0]:.3f} -> {lls[-1]:.3f} "
@@ -331,7 +314,9 @@ def _run_system(config: RunConfig, train_part: Manifest, held_part: Manifest,
     backend = None
     if config.scorer == "plda":
         backend = out / "backend.xvbk"
-        _fit_backend(config, *_extract_all(model, train_part, config), backend)
+        pre, plda = bk.fit_backend(*_extract_all(model, train_part, config), config.lda_dim,
+                                   config.length_norm)
+        bk.save_backend(backend, pre, plda, config.length_norm)
     _score(config, trials, held_vecs, backend, out / "scores.txt")
     report = _evaluate(config, trials, out / "scores.txt")
     _write_text(out / "metrics.csv", report.to_csv())
@@ -348,12 +333,10 @@ def _cmd_sweep(args) -> int:
     # the split, and every system's config and model, are checked before
     # anything is written; without --data, on the corpus the config generates
     k = config.holdout_per_speaker
-    if args.data:
-        train_part, held_part = Manifest.load(Path(args.data) / "manifest.csv").split(k, least=1)
-        train_counts = list(Counter(e.speaker_id for e in train_part).values())
-    else:
-        check_holdout([config.utterances_per_speaker] * config.num_speakers, k, least=1)
-        train_counts = [config.utterances_per_speaker - k] * config.num_speakers
+    manifest = Manifest.load(Path(args.data) / "manifest.csv") if args.data else None
+    counts = ([config.utterances_per_speaker] * config.num_speakers if manifest is None
+              else [len(utts) for utts in manifest.by_speaker().values()])
+    train_counts = check_holdout(counts, k, least=1)
     systems: dict[str, RunConfig] = {}
     for order in orders:
         for alpha in alphas:
@@ -366,10 +349,10 @@ def _cmd_sweep(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if not args.data:
+    if manifest is None:
         log.info("no --data given; generating corpus into %s", out / "corpus")
         manifest = generate_corpus(_project(config, CorpusSpec), out / "corpus")
-        train_part, held_part = manifest.split(k, least=1)
+    train_part, held_part = manifest.split(k, least=1)
     trials = bk.all_pairs_trials({e.utt_id: e.speaker_id for e in held_part})
 
     results: list[tuple[str, MetricsReport]] = []

@@ -28,7 +28,7 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -64,9 +64,9 @@ log = logging.getLogger(__name__)
 FEATURE_MAGIC = b"XVF1"
 _HEADER = struct.Struct("<4sII")
 
-# Minimum crop length accepted by make_batches; the frame layers of the
-# default network consume 14 frames of context.
-MIN_CROP = 15
+# Minimum crop length accepted by make_batches: the default network's
+# shortest input, model.min_input_frames (receptive field 15, plus one).
+MIN_CROP = 16
 
 # Innovation values (utterances x max_frames x feature_dim, padded) that
 # generate_corpus filters as one block, so its memory does not grow with
@@ -167,13 +167,18 @@ class Manifest:
                 f"{entry.path}: file holds {fm.num_frames} frames, manifest says {entry.num_frames}")
         return fm
 
+    def by_speaker(self) -> dict[str, list[ManifestEntry]]:
+        """Each speaker's entries, in row order."""
+        by_spk: dict[str, list[ManifestEntry]] = {}
+        for e in self.entries:
+            by_spk.setdefault(e.speaker_id, []).append(e)
+        return by_spk
+
     def split(self, k: int, least: int = 0) -> tuple["Manifest", "Manifest"]:
         """Per speaker, hold out the last k utterances (by id) for
         evaluation, within check_holdout's bound. k = 0 keeps the manifest
         whole, in its own row order, and holds out nothing."""
-        by_spk: dict[str, list[ManifestEntry]] = {}
-        for e in self.entries:
-            by_spk.setdefault(e.speaker_id, []).append(e)
+        by_spk = self.by_speaker()
         check_holdout([len(utts) for utts in by_spk.values()], k, least)
         if k == 0:
             return self, Manifest([], self.base_dir)
@@ -212,13 +217,14 @@ class Manifest:
         return cls(entries, base_dir=path.parent)
 
 
-def check_holdout(counts: Iterable[int], k: int, least: int) -> None:
+def check_holdout(counts: list[int], k: int, least: int) -> list[int]:
     """The held-out bound: every speaker, of `counts` utterances each, holds
     out at least `least` and keeps at least one to train on. With no
-    speaker there is no upper bound."""
+    speaker there is no upper bound. Returns what each speaker keeps."""
     most = min(counts, default=k + 1) - 1
     if not least <= k <= most:
         raise ConfigurationError(f"holdout_per_speaker must lie in [{least}, {most}], got {k}")
+    return [n - k for n in counts]
 
 
 def write_features(path: Path | str, fm: FeatureMatrix) -> None:

@@ -10,10 +10,8 @@ nontarget tied with the threshold counts as a false accept.
 detection_metrics sweeps every distinct score plus +inf, which visits
 every achievable (P_miss, P_fa) operating point exactly once. The EER
 is linearly interpolated between the two operating points bracketing
-the P_miss = P_fa crossing. metrics_oracle is an independent
-brute-force path (midpoints between sorted scores plus both
-infinities, explicit counting per threshold) that must agree with the
-fast path to 1e-12; it exists to check the fast path, not to be fast.
+the P_miss = P_fa crossing. The tests check it against an independent
+brute-force oracle to 1e-12.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 from . import binio
 from .errors import ConfigurationError, DataError
 
-__all__ = ["DcfParams", "MetricsReport", "detection_metrics", "metrics_oracle"]
+__all__ = ["DcfParams", "MetricsReport", "detection_metrics"]
 
 
 @dataclass(frozen=True)
@@ -80,18 +78,6 @@ class MetricsReport:
                                            for f in fields(self))
 
 
-def _validated(target_scores, nontarget_scores) -> tuple[np.ndarray, np.ndarray]:
-    t = np.sort(np.asarray(target_scores, dtype=np.float64).ravel())
-    nt = np.sort(np.asarray(nontarget_scores, dtype=np.float64).ravel())
-    if t.size == 0:
-        raise DataError("no target trials; metrics need at least one of each class")
-    if nt.size == 0:
-        raise DataError("no nontarget trials; metrics need at least one of each class")
-    if not (np.isfinite(t).all() and np.isfinite(nt).all()):
-        raise DataError("scores must be finite")
-    return t, nt
-
-
 def _dcf(p_miss, p_fa, params: DcfParams):
     raw = params.c_miss * params.p_target * p_miss \
         + params.c_fa * (1.0 - params.p_target) * p_fa
@@ -120,7 +106,14 @@ def _interpolate_eer(p_miss: np.ndarray, p_fa: np.ndarray,
 def detection_metrics(target_scores, nontarget_scores,
                       params: DcfParams = DcfParams()) -> MetricsReport:
     """Compute EER / minDCF / actDCF from target and nontarget scores."""
-    t, nt = _validated(target_scores, nontarget_scores)
+    t = np.sort(np.asarray(target_scores, dtype=np.float64).ravel())
+    nt = np.sort(np.asarray(nontarget_scores, dtype=np.float64).ravel())
+    if t.size == 0:
+        raise DataError("no target trials; metrics need at least one of each class")
+    if nt.size == 0:
+        raise DataError("no nontarget trials; metrics need at least one of each class")
+    if not (np.isfinite(t).all() and np.isfinite(nt).all()):
+        raise DataError("scores must be finite")
     thresholds = np.concatenate([np.unique(np.concatenate([t, nt])), [np.inf]])
     p_miss = np.searchsorted(t, thresholds, side="left") / t.size
     p_fa = (nt.size - np.searchsorted(nt, thresholds, side="left")) / nt.size
@@ -131,51 +124,6 @@ def detection_metrics(target_scores, nontarget_scores,
     pm_b = np.searchsorted(t, beta, side="left") / t.size
     pf_b = (nt.size - np.searchsorted(nt, beta, side="left")) / nt.size
     act_dcf = float(_dcf(pm_b, pf_b, params))
-    return MetricsReport(eer=eer, min_dcf=min_dcf, act_dcf=act_dcf,
-                         threshold_at_eer=thr_eer,
-                         num_target=int(t.size), num_nontarget=int(nt.size))
-
-
-def metrics_oracle(target_scores, nontarget_scores,
-                   params: DcfParams = DcfParams()) -> MetricsReport:
-    """Quadratic-cost reference implementation of detection_metrics."""
-    t, nt = _validated(target_scores, nontarget_scores)
-    merged = np.unique(np.concatenate([t, nt]))
-    thresholds = np.concatenate([[-np.inf], 0.5 * (merged[:-1] + merged[1:]), [np.inf]])
-
-    p_miss = np.empty(thresholds.size)
-    p_fa = np.empty(thresholds.size)
-    for i, thr in enumerate(thresholds):
-        p_miss[i] = np.count_nonzero(t < thr) / t.size
-        p_fa[i] = np.count_nonzero(nt >= thr) / nt.size
-
-    diff = p_miss - p_fa
-    idx = int(np.argmax(diff >= 0.0))
-    if diff[idx] == 0.0:
-        eer = float(p_miss[idx])
-        lo = hi = thresholds[idx]
-        gap = 0.0
-    else:
-        gap = (p_fa[idx - 1] - p_miss[idx - 1]) / ((p_fa[idx - 1] - p_miss[idx - 1])
-                                                   + (p_miss[idx] - p_fa[idx]))
-        pm_x = p_miss[idx - 1] + gap * (p_miss[idx] - p_miss[idx - 1])
-        pf_x = p_fa[idx - 1] + gap * (p_fa[idx] - p_fa[idx - 1])
-        eer = float(0.5 * (pm_x + pf_x))
-        lo, hi = thresholds[idx - 1], thresholds[idx]
-    # the bracket may touch an infinite sentinel; report a real number
-    if math.isinf(lo) and math.isinf(hi):
-        thr_eer = float(merged[0])
-    elif math.isinf(lo):
-        thr_eer = float(hi)
-    elif math.isinf(hi):
-        thr_eer = float(lo)
-    else:
-        thr_eer = float(lo + gap * (hi - lo))
-
-    min_dcf = min(float(_dcf(pm, pf, params)) for pm, pf in zip(p_miss, p_fa))
-    beta = params.bayes_threshold()
-    act_dcf = float(_dcf(np.count_nonzero(t < beta) / t.size,
-                         np.count_nonzero(nt >= beta) / nt.size, params))
     return MetricsReport(eer=eer, min_dcf=min_dcf, act_dcf=act_dcf,
                          threshold_at_eer=thr_eer,
                          num_target=int(t.size), num_nontarget=int(nt.size))

@@ -60,6 +60,7 @@ from .autodiff import (
     reshape,
     scale,
     softmax_cross_entropy,
+    stats_pool,
 )
 from .data import Batch, FeatureMatrix, Manifest, make_batches
 from .errors import (
@@ -70,7 +71,7 @@ from .errors import (
     ParseError,
     TrainingDivergedError,
 )
-from .stats import hos_vector, stats_pool
+from .stats import hos_vector
 
 __all__ = [
     "ModelConfig",
@@ -82,6 +83,7 @@ __all__ = [
     "OverheadReport",
     "StepTimeReport",
     "receptive_field",
+    "min_input_frames",
     "build_model",
     "forward",
     "multitask_loss",
@@ -164,9 +166,9 @@ class ModelConfig:
         if self.epochs < 1:
             problems.append(f"epochs must be >= 1, got {self.epochs}")
         if len(self.kernel_sizes) == len(self.dilations) == 5:
-            rf = receptive_field(self)
-            if self.crop_length < rf:
-                problems.append(f"crop_length {self.crop_length} < receptive field {rf}")
+            need = min_input_frames(self)
+            if self.crop_length < need:
+                problems.append(f"crop_length {self.crop_length} < {need}, the network's shortest input")
         if self.seed < 0:
             problems.append(f"seed must be non-negative, got {self.seed}")
         problems += binio.non_finite_fields(self)
@@ -177,6 +179,11 @@ class ModelConfig:
 def receptive_field(config: ModelConfig) -> int:
     """Frames of context one output frame sees after the conv stack."""
     return 1 + sum((k - 1) * d for k, d in zip(config.kernel_sizes, config.dilations))
+
+
+def min_input_frames(config: ModelConfig) -> int:
+    """Frames of the shortest input: the receptive field, plus one for pooling's second frame."""
+    return receptive_field(config) + 1
 
 
 @dataclass
@@ -299,9 +306,9 @@ def _pooled(model: Model, x: np.ndarray, mode: str, tape: Tape | None = None,
     length, d = h.shape[1], h.shape[2]
     if d != cfg.feature_dim:
         raise ConfigurationError(f"{what} feature dim {d} != model feature dim {cfg.feature_dim}")
-    rf = receptive_field(cfg)
-    if length < rf:
-        raise InputTooShortError(f"{what} of {length} frames shorter than receptive field {rf}")
+    need = min_input_frames(cfg)
+    if length < need:
+        raise InputTooShortError(f"{what} of {length} frames, fewer than the {need} it needs")
     p = model.params
     for i, dilation in enumerate(cfg.dilations, start=1):
         name = f"l{i}"

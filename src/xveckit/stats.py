@@ -1,10 +1,9 @@
-"""Per-dimension utterance statistics up to fourth order, and the pooling op.
+"""Per-dimension utterance statistics up to fourth order, in plain numpy.
 
 moments() is the two-pass reference used everywhere targets are needed,
-on one utterance or on a batch of equal-length crops at once.
-stats_pool() is the differentiable mean+stddev pooling layer of the
-network: it takes the [N, T, F] frame-layer output and records on the
-autodiff tape.
+on one utterance or on a batch of equal-length crops at once. The
+network's differentiable pooling layer, stats_pool, is an autodiff op;
+this module imports nothing from the engine.
 
 Conventions: population (1/T) normalization throughout, no Bessel
 correction; skewness and kurtosis are standardized moments of order 3
@@ -19,24 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, _accumulate, _wants_grad
-from .errors import ConfigurationError, DataError, PoolingError
+from .errors import ConfigurationError, DataError
 
 __all__ = [
     "DEGENERATE_SIGMA",
-    "POOL_EPS",
     "HosVector",
     "moments",
     "hos_vector",
-    "stats_pool",
 ]
 
 # Below this standard deviation a dimension is treated as constant.
 DEGENERATE_SIGMA = 1e-6
-
-# Variance floor inside the pooling square root; keeps the gradient
-# finite when a channel is constant over the pooled frames.
-POOL_EPS = 1e-8
 
 
 @dataclass
@@ -87,32 +79,3 @@ def hos_vector(frames, order: int = 4) -> np.ndarray:
     """Reconstruction target: the first `order` statistics, concatenated;
     [order * D] for a [T, D] input, [N, order * D] for an [N, T, D] batch."""
     return moments(frames).concat(order)
-
-
-def stats_pool(frames: Tensor, tape: Tape | None = None) -> Tensor:
-    """Pool [N, T', F] frame activations to [N, 2F]: mean, then stddev,
-    per channel. The stddev is sqrt(population variance + POOL_EPS).
-    """
-    x = frames.data
-    if x.ndim != 3:
-        raise ConfigurationError(f"stats_pool input must be [N, T, F], got shape {x.shape}")
-    _, t, f = x.shape
-    if t < 2:
-        raise PoolingError(f"stats_pool needs at least 2 frames, got {t}")
-    mu = x.mean(axis=1)
-    centered = x - mu[:, None, :]
-    # einsum sums the squares without a full-size temporary.
-    var = np.einsum("ntf,ntf->nf", centered, centered) / t
-    std = np.sqrt(var + POOL_EPS)
-    out = Tensor(np.concatenate([mu, std], axis=1))
-
-    if tape is not None:
-        def bwd(g: np.ndarray) -> None:
-            if not _wants_grad(frames):
-                return
-            gx = centered
-            gx *= g[:, None, f:] / (t * std[:, None, :])
-            gx += g[:, None, :f] / t
-            _accumulate(frames, gx, fresh=True)
-        tape.record(out, bwd)
-    return out

@@ -22,10 +22,10 @@ from xveckit.autodiff import (
     reshape,
     scale,
     softmax_cross_entropy,
+    stats_pool,
 )
 from xveckit.errors import ConfigurationError, TrainingDivergedError, UsageError
 from xveckit.model import ModelConfig
-from xveckit.stats import stats_pool
 
 
 def t64(arr, requires_grad=True) -> Tensor:

@@ -11,6 +11,7 @@ from xveckit.backend import (
     Preprocessor,
     Trial,
     all_pairs_trials,
+    fit_backend,
     fit_plda,
     fit_preprocessor,
     length_normalize,
@@ -558,6 +559,25 @@ def test_score_trials_applies_preprocessor():
     np.testing.assert_allclose(scores, [1.0, -1.0], atol=1e-12)  # signs of coord 0
 
 
+@pytest.mark.parametrize("length_norm", [False, True])
+def test_fit_backend_runs_the_chain_on_rows_in_sorted_id_order(length_norm):
+    rng = np.random.default_rng(21)
+    ids = [f"u{i:02d}" for i in rng.permutation(24)]  # a table in no id order
+    vectors = {u: rng.standard_normal(5) + int(u[1:]) % 4 for u in ids}
+    speakers = {u: f"s{int(u[1:]) % 4}" for u in ids}
+    pre, plda = fit_backend(vectors, speakers, 3, length_norm)
+    x = np.stack([vectors[u] for u in sorted(ids)])
+    labels = [speakers[u] for u in sorted(ids)]
+    want_pre = fit_preprocessor(x, labels, 3)
+    projected = want_pre.apply(x)
+    want = fit_plda(length_normalize(projected) if length_norm else projected, labels)
+    got = [pre.mean, pre.projection, plda.mean, plda.between, plda.within]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in (
+        want_pre.mean, want_pre.projection, want.mean, want.between, want.within)]
+    with pytest.raises(DataError, match="utterance 'u07' has an empty speaker label"):
+        fit_backend(vectors, {**speakers, "u07": ""}, 3, length_norm)
+
+
 def test_score_trials_unknown_id():
     with pytest.raises(DataError, match="trial 2.*ghost"):
         score_trials(trials_of([Trial("a", "b", True), Trial("a", "ghost", False)]),
@@ -565,18 +585,30 @@ def test_score_trials_unknown_id():
 
 
 def test_score_trials_rejects_a_repeated_trial():
-    # the same (enroll, test) pair twice, the second time with the other label
+    # the same pair of utterances twice, the second time in the other order
+    # and with the other label: both scorers are symmetric, so (u1, u0) is
+    # the comparison (u0, u1) again
     table = {f"u{i}": np.eye(4)[i] + 0.1 for i in range(4)}
-    trials = trials_of([Trial("u0", "u1", True), Trial("u0", "u2", False), Trial("u1", "u0", True),
+    trials = trials_of([Trial("u0", "u1", True), Trial("u0", "u2", False), Trial("u1", "u0", False),
                         Trial("u2", "u3", True), Trial("u0", "u1", False)])
-    with pytest.raises(DataError, match=r"trial 5: repeats trial 1 \(u0 u1\)"):
+    with pytest.raises(DataError, match=r"trial 3: repeats trial 1 \(u0 u1\)"):
         score_trials(trials, table)
-    assert score_trials(trials[:4], table).shape == (4,)  # (u1, u0) is another trial
+    assert score_trials(trials[:2], table).shape == (2,)
 
 
 def _random_spd(rng, dim):
     a = rng.standard_normal((dim, dim))
     return a @ a.T + dim * np.eye(dim)
+
+
+def _distinct_pairs(rng, n, size):
+    """Rows (enroll, test) of `size` distinct pairs of n utterances, one
+    utterance with itself included, each drawn in a random order: both
+    scorers are symmetric, so (a, b) and (b, a) would be one trial twice."""
+    first, second = np.triu_indices(n)
+    pick = rng.choice(first.size, size=size, replace=False)
+    flip = rng.integers(2, size=size).astype(bool)
+    return (np.where(flip, second[pick], first[pick]), np.where(flip, first[pick], second[pick]))
 
 
 def _reference_score(trial, table, pre, plda, length_norm):
@@ -606,17 +638,16 @@ def _reference_score(trial, table, pre, plda, length_norm):
 @pytest.mark.parametrize("length_norm", [True, False], ids=["norm", "no-norm"])
 @pytest.mark.parametrize("kind", ["cosine", "plda"])
 def test_scoring_per_utterance_matches_per_trial_reference(kind, length_norm, use_pre):
-    # 20 utterances, 300 distinct (enroll, test) pairs drawn in no order, so
+    # 20 utterances, 200 of their 210 distinct pairs drawn in no order, so
     # each utterance is in many trials; per-row terms computed once per
     # utterance must give each trial the score it gets alone. The two differ
     # only in summation order (the largest absolute difference seen is
-    # 3.6e-15 on scores up to 18), so the bound is 1e-10, relative and absolute.
+    # 1.3e-15 on scores up to 4.7), so the bound is 1e-10, relative and absolute.
     rng = np.random.default_rng(7)
     emb_dim, dim = 6, (4 if use_pre else 6)
     table = {f"u{i:02d}": rng.standard_normal(emb_dim) * 2.0 + 0.5 for i in range(20)}
     ids = list(table)
-    trials = trials_of([Trial(ids[pair // 20], ids[pair % 20], bool(rng.integers(2)))
-                        for pair in rng.choice(20 * 20, size=300, replace=False)])
+    trials = backend.Trials(ids, *_distinct_pairs(rng, 20, 200), rng.integers(2, size=200))
     pre = (Preprocessor(mean=rng.standard_normal(emb_dim),
                         projection=rng.standard_normal((dim, emb_dim))) if use_pre else None)
     plda = (None if kind == "cosine" else
@@ -640,8 +671,7 @@ def test_plda_scoring_memory_is_a_few_trial_matrices():
     dim, n_trials = 32, 20_000
     table = {f"u{i:03d}": rng.standard_normal(dim) for i in range(400)}
     ids = list(table)
-    pairs = rng.choice(400 * 400, size=n_trials, replace=False)
-    trials = backend.Trials(ids, pairs // 400, pairs % 400, np.zeros(n_trials, dtype=bool))
+    trials = backend.Trials(ids, *_distinct_pairs(rng, 400, n_trials), np.zeros(n_trials, dtype=bool))
     plda = PldaModel(mean=np.zeros(dim), between=_random_spd(rng, dim),
                      within=_random_spd(rng, dim))
     tracemalloc.start()
@@ -682,8 +712,7 @@ def test_blocked_scores_are_bitwise_the_unblocked_formula(kind):
     n_trials = int(2.5 * backend.SCORE_BLOCK) + 13
     table = {f"u{i:03d}": rng.standard_normal(dim) for i in range(n_utts)}
     ids = list(table)
-    pairs = rng.choice(n_utts * n_utts, size=n_trials, replace=False)
-    trials = backend.Trials(ids, pairs // n_utts, pairs % n_utts,
+    trials = backend.Trials(ids, *_distinct_pairs(rng, n_utts, n_trials),
                             rng.integers(2, size=n_trials).astype(bool))
     plda = (None if kind == "cosine" else
             PldaModel(mean=rng.standard_normal(dim) * 0.1, between=_random_spd(rng, dim),
@@ -707,8 +736,8 @@ def test_plda_scoring_memory_does_not_grow_with_trials_times_dim():
                      within=_random_spd(rng, dim))
     peaks = {}
     for n_trials in (20_000, 80_000):
-        pairs = rng.choice(400 * 400, size=n_trials, replace=False)
-        trials = backend.Trials(ids, pairs // 400, pairs % 400, np.zeros(n_trials, dtype=bool))
+        trials = backend.Trials(ids, *_distinct_pairs(rng, 400, n_trials),
+                                np.zeros(n_trials, dtype=bool))
         tracemalloc.start()
         try:
             score_trials(trials, table, plda=plda)
@@ -966,14 +995,6 @@ def test_backend_roundtrip_with_plda(tmp_path, plda_truth):
     np.testing.assert_array_equal(plda2.within, plda.within)
 
 
-def test_backend_roundtrip_cosine_only(tmp_path):
-    pre = Preprocessor(mean=np.zeros(4), projection=np.eye(4)[:3])
-    save_backend(tmp_path / "b.xvbk", pre, None, length_norm=True)
-    pre2, plda2, ln = load_backend(tmp_path / "b.xvbk")
-    assert plda2 is None and ln
-    assert pre2.projection.shape == (3, 4)
-
-
 def read_backend_container(path):
     return binio.read_container(path, backend.BACKEND_MAGIC, backend.BACKEND_VERSION, "a backend")
 
@@ -982,40 +1003,42 @@ def write_backend_container(path, meta, arrays):
     binio.write_container(path, backend.BACKEND_MAGIC, backend.BACKEND_VERSION, meta, arrays)
 
 
-@pytest.mark.parametrize("with_plda", [False, True])
-def test_backend_metadata_is_length_norm_alone(tmp_path, with_plda):
-    pre = Preprocessor(mean=np.zeros(4), projection=np.eye(4)[:3])
-    plda = PldaModel(mean=np.zeros(3), between=np.eye(3), within=np.eye(3)) if with_plda else None
-    save_backend(tmp_path / "b.xvbk", pre, plda, length_norm=False)
+def _backend_parts():
+    pre = Preprocessor(mean=np.arange(4.0), projection=np.arange(12.0).reshape(3, 4))
+    return pre, PldaModel(mean=np.ones(3), between=2 * np.eye(3), within=np.eye(3))
+
+
+@pytest.mark.parametrize("length_norm", [False, True])
+def test_backend_metadata_is_length_norm_alone(tmp_path, length_norm):
+    save_backend(tmp_path / "b.xvbk", *_backend_parts(), length_norm)
     meta, arrays = read_backend_container(tmp_path / "b.xvbk")
-    assert meta == {"length_norm": "0"}
-    assert len(arrays) == (5 if with_plda else 2)
+    assert meta == {"length_norm": str(int(length_norm))}
+    assert len(arrays) == 5
 
 
-@pytest.mark.parametrize("with_plda", [False, True])
-def test_backend_with_restated_keys_still_loads(tmp_path, with_plda):
+@pytest.mark.parametrize("length_norm", [False, True])
+def test_backend_with_restated_keys_still_loads(tmp_path, length_norm):
     # a backend of the earlier format also restated its dimensions and
     # whether it holds PLDA
-    pre = Preprocessor(mean=np.arange(4.0), projection=np.arange(12.0).reshape(3, 4))
-    plda = PldaModel(mean=np.ones(3), between=2 * np.eye(3), within=np.eye(3)) if with_plda else None
-    save_backend(tmp_path / "new.xvbk", pre, plda)
+    save_backend(tmp_path / "new.xvbk", *_backend_parts(), length_norm)
     meta, arrays = read_backend_container(tmp_path / "new.xvbk")
-    old_meta = {"emb_dim": 4, "lda_dim": 3, **meta, "has_plda": int(with_plda)}
+    old_meta = {"emb_dim": 4, "lda_dim": 3, **meta, "has_plda": 1}
     write_backend_container(tmp_path / "old.xvbk", old_meta, arrays)
     new, old = load_backend(tmp_path / "new.xvbk"), load_backend(tmp_path / "old.xvbk")
-    assert old[2] == new[2] is True
-    assert (old[1] is None) == (new[1] is None) == (not with_plda)
-    tensors = [[r[0].mean, r[0].projection] + ([r[1].mean, r[1].between, r[1].within]
-                                               if with_plda else []) for r in (new, old)]
+    assert old[2] == new[2] == length_norm
+    tensors = [[r[0].mean, r[0].projection, r[1].mean, r[1].between, r[1].within]
+               for r in (new, old)]
     assert [a.tobytes() for a in tensors[0]] == [a.tobytes() for a in tensors[1]]
 
 
 @pytest.mark.parametrize("shapes, message", [
-    ([(4,), (3, 4), (3,)], "expected 2 or 5 tensors, file has 3"),
-    ([(3,), (3, 4)], r"mean shaped \(3,\) does not fit projection shaped \(3, 4\)"),
-    ([(4,), (4,)], r"mean shaped \(4,\) does not fit projection shaped \(4,\)"),
+    ([(4,), (3, 4), (3,)], "expected 5 tensors, file has 3"),
+    ([(3,), (3, 4), (3,), (3, 3), (3, 3)],
+     r"mean shaped \(3,\) does not fit projection shaped \(3, 4\)"),
+    ([(4,), (4,), (3,), (3, 3), (3, 3)], r"mean shaped \(4,\) does not fit projection shaped \(4,\)"),
     ([(4,), (3, 4), (2,), (3, 3), (3, 3)], "PLDA tensor shapes do not fit LDA dim 3"),
     ([(4,), (3, 4), (3,), (3, 3), (2, 2)], "PLDA tensor shapes do not fit LDA dim 3"),
+    ([(4,), (3, 4)], "expected 5 tensors, file has 2"),  # the centring + LDA form is gone
 ])
 def test_backend_tensor_shapes_must_fit(tmp_path, shapes, message):
     write_backend_container(tmp_path / "b.xvbk", {"length_norm": 1},
@@ -1031,8 +1054,7 @@ def test_backend_bad_magic(tmp_path):
 
 
 def test_backend_truncated(tmp_path):
-    pre = Preprocessor(mean=np.zeros(4), projection=np.eye(4)[:3])
-    save_backend(tmp_path / "b.xvbk", pre)
+    save_backend(tmp_path / "b.xvbk", *_backend_parts(), True)
     raw = (tmp_path / "b.xvbk").read_bytes()
     (tmp_path / "b.xvbk").write_bytes(raw[:-5])
     with pytest.raises(TruncatedFileError):
@@ -1040,8 +1062,7 @@ def test_backend_truncated(tmp_path):
 
 
 def test_backend_rejects_metadata_line_without_equals(tmp_path):
-    pre = Preprocessor(mean=np.zeros(4), projection=np.eye(4)[:3])
-    save_backend(tmp_path / "b.xvbk", pre)
+    save_backend(tmp_path / "b.xvbk", *_backend_parts(), True)
     raw = (tmp_path / "b.xvbk").read_bytes()
     size = int.from_bytes(raw[8:12], "little")
     blob = raw[12:12 + size] + b"\nstray"

@@ -287,6 +287,28 @@ def test_evaluate_rejects_a_trial_list_that_repeats_a_trial(workspace, tmp_path,
     assert "trial 3: repeats trial 1 (u0 u1)" in caplog.text
 
 
+REVERSED_TRIAL = "u0 u1 target\nu0 u2 nontarget\nu1 u0 target\nu2 u3 target\n"
+
+
+def test_score_and_evaluate_reject_a_trial_list_that_holds_a_pair_both_ways(
+        workspace, tmp_path, caplog):
+    # both scorers give (u1, u0) the score of (u0, u1), so the list would
+    # count one comparison twice in EER and DCF
+    _, cfg = workspace
+    rng = np.random.default_rng(0)
+    write_embeddings(tmp_path / "e.xveb", {f"u{i}": rng.standard_normal(4) for i in range(4)},
+                     {f"u{i}": f"s{i // 2}" for i in range(4)})
+    (tmp_path / "trials.txt").write_text(REVERSED_TRIAL)
+    assert main(["score", "--config", str(cfg), "--trials", str(tmp_path / "trials.txt"),
+                 "--embeddings", str(tmp_path / "e.xveb"), "--out", str(tmp_path / "s.txt")]) == 1
+    assert not (tmp_path / "s.txt").exists()
+    # a score file that holds both orders, as a line-per-trial scorer writes it
+    (tmp_path / "s.txt").write_text("u0 u1 0.9\nu0 u2 0.1\nu1 u0 0.9\nu2 u3 0.8\n")
+    assert main(["evaluate", "--config", str(cfg), "--scores", str(tmp_path / "s.txt"),
+                 "--trials", str(tmp_path / "trials.txt")]) == 1
+    assert caplog.text.count("trial 3: repeats trial 1 (u0 u1)") == 2
+
+
 def test_evaluate_names_the_first_trial_without_a_score(workspace, tmp_path, caplog):
     _, cfg = workspace
     (tmp_path / "trials.txt").write_text("u0 u1 target\nu0 u2 nontarget\nu0 u3 target\n")

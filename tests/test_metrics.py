@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from xveckit.errors import ConfigurationError, DataError
-from xveckit.metrics import DcfParams, MetricsReport, detection_metrics, metrics_oracle
+from xveckit.metrics import DcfParams, MetricsReport, detection_metrics
+
+from metrics_oracle import metrics_oracle
 
 
 def random_scores(rng):

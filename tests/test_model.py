@@ -24,8 +24,9 @@ from xveckit.autodiff import (
     reshape,
     scale,
     softmax_cross_entropy,
+    stats_pool,
 )
-from xveckit.data import CorpusSpec, FeatureMatrix, generate_corpus
+from xveckit.data import MIN_CROP, CorpusSpec, FeatureMatrix, generate_corpus
 from xveckit.errors import (
     BadMagicError,
     ConfigurationError,
@@ -43,6 +44,7 @@ from xveckit.model import (
     extract_embedding,
     forward,
     load_checkpoint,
+    min_input_frames,
     multitask_loss,
     parameter_overhead,
     receptive_field,
@@ -50,7 +52,7 @@ from xveckit.model import (
     step_time_overhead,
     train,
 )
-from xveckit.stats import hos_vector, stats_pool
+from xveckit.stats import hos_vector
 
 FULL = ModelConfig(feature_dim=30, num_speakers=7001)
 
@@ -74,6 +76,25 @@ def params_bytes(model: Model) -> dict[str, bytes]:
 def test_receptive_field_is_fifteen():
     assert receptive_field(FULL) == 15
     assert receptive_field(MINIATURE_CONFIG) == 15  # same kernel/dilation stack
+
+
+def test_shortest_input_is_the_receptive_field_plus_one():
+    # pooling needs two output frames; make_batches' floor is the default net's need
+    assert min_input_frames(FULL) == receptive_field(FULL) + 1 == MIN_CROP
+
+
+def test_a_crop_of_the_receptive_field_is_rejected_at_validation():
+    with pytest.raises(ConfigurationError, match="crop_length 15 < 16"):
+        replace(MINIATURE_CONFIG, crop_length=15).validate()
+    replace(MINIATURE_CONFIG, crop_length=16).validate()
+
+
+def test_an_utterance_of_the_receptive_field_is_rejected_and_one_more_frame_embeds():
+    model = build_model(MINIATURE_CONFIG)
+    frames = np.random.default_rng(0).normal(size=(16, 6)).astype(np.float32)
+    with pytest.raises(InputTooShortError, match="utterance 'u' of 15 frames, fewer than the 16"):
+        extract_embedding(model, FeatureMatrix("u", "s", frames[:15]))
+    assert np.isfinite(extract_embedding(model, FeatureMatrix("u", "s", frames)).vector).all()
 
 
 def test_full_size_first_segment_layer():

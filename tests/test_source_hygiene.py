@@ -1,7 +1,8 @@
 """Source hygiene of src/xveckit: no dead imports, no unreferenced private
 helpers, no undefined name in __all__, no package import deferred into a
-function. Deleting code tends to leave the first three behind; this reads
-every module with ast, so it runs nothing of the package.
+function, no private name imported across modules. Deleting code tends to
+leave the first three behind; this reads every module with ast, so it
+runs nothing of the package.
 """
 
 import ast
@@ -83,13 +84,26 @@ def test_private_helpers_are_referenced():
 
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_package_imports_are_at_module_level(module):
-    # stats imports only autodiff and errors, so no module of the package
-    # needs a deferred import to break a cycle
+    # the modules import each other in one order (errors and binio first,
+    # then stats, autodiff, data, model, metrics, backend and cli), so no
+    # module of the package needs a deferred import to break a cycle
     nested = [f"line {node.lineno}: from {'.' * node.level}{node.module or ''} import ..."
               for top in MODULES[module].body if not isinstance(top, (ast.Import, ast.ImportFrom))
               for node in ast.walk(top)
               if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert nested == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_private_name_is_imported_from_another_module(module):
+    # a _name is its module's own: another module that needs it needs the
+    # rule it states, which then belongs with that module's public names
+    private = [f"line {node.lineno}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+               for node in ast.walk(MODULES[module])
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("xveckit"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 CALLERS = [path for folder in ("src", "tests", "perfbench")

@@ -1,19 +1,14 @@
-"""Moment statistics: the two-pass reference and the pooling layer."""
+"""Moment statistics: the two-pass reference, and the pooling layer, an
+autodiff op checked here beside the statistics it pools."""
 
 import math
 
 import numpy as np
 import pytest
 
-from xveckit.autodiff import Tape, Tensor, grad_check, mse_loss
+from xveckit.autodiff import POOL_EPS, Tape, Tensor, grad_check, mse_loss, stats_pool
 from xveckit.errors import ConfigurationError, DataError, PoolingError
-from xveckit.stats import (
-    DEGENERATE_SIGMA,
-    POOL_EPS,
-    hos_vector,
-    moments,
-    stats_pool,
-)
+from xveckit.stats import DEGENERATE_SIGMA, hos_vector, moments
 
 
 # ---------------------------------------------------------------------------
