@@ -21,7 +21,32 @@ that in place as its saved copy. Inputs, forward outputs and parameters
 are never written. Backward releases each tape entry, its closure and
 the saved arrays with it, as soon as the closure has run, and drops the
 output's spent gradient. So after backward a leaf's .grad is its
-gradient, while an intermediate tensor holds no .grad.
+gradient, while an intermediate tensor holds no .grad. In a two-thread
+frame layer (below) the side thread reads the layer's output gradient,
+after batch norm and mask, and its im2col buffer, and adds into the
+bias's and weight's .grad; so there the im2col buffer is no col2im
+scratch and the input gradient gets its own buffer. The closure joins
+that work before it returns, so backward returns or raises only once
+all of its tape's side work is done.
+
+Two threads: inside side_thread(), which model.train holds for a whole
+run, the module keeps one side thread, a single fixed worker, when the
+process may run on more than one CPU (os.sched_getaffinity). That
+thread has exited once the block is left, so what follows training in
+the same process (extraction, scoring) runs beside no idle worker.
+Outside the block, and on one CPU, every op takes its serial path.
+Only a frame layer on a tape uses the side thread: a dilated
+convolution over [N, T, C] frames with N >= 2. Its forward runs three
+steps on two halves of its rows, the first here and the second on the
+side thread, joining after each: the im2col copy, matmul, bias, relu
+and mask (the first N // 2 sequences here), the centring, and the
+scale and shift. The batch-norm mean and variance stay whole-array
+reductions on this thread, between those steps. Its backward forms
+the bias and weight gradients on the side thread while this one forms
+the input gradient, and joins before the next closure runs, so every
+sum runs in tape order and every number is bitwise that of the serial
+path. Dense layers and every tape-less
+call run on the calling thread alone.
 
 Ops are pure functions of their explicit inputs plus the tape. Passing
 tape=None runs forward only, which is the inference path.
@@ -34,6 +59,9 @@ fixed 1e-5 step.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,6 +81,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "backward",
+    "side_thread",
     "conv1d_dilated",
     "dense",
     "relu",
@@ -187,6 +216,76 @@ def backward(loss: Tensor, tape: Tape) -> None:
         out._tape = None
 
 
+_SIDE: ThreadPoolExecutor | None = None  # set inside side_thread() alone
+
+
+@contextmanager
+def side_thread():
+    """Let frame layers on a tape use the side thread in the with-block.
+
+    The worker's thread starts at the first hand-off and has exited when
+    the block is left, so no thread outlives the training run that used
+    it. When the process may run on one CPU only (os.sched_getaffinity),
+    or inside an enclosing block, this adds nothing.
+    """
+    global _SIDE
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if _SIDE is not None or (cpus or 1) < 2:
+        yield
+        return
+    _SIDE = ThreadPoolExecutor(1, "autodiff-side")
+    try:
+        yield
+    finally:
+        side, _SIDE = _SIDE, None
+        side.shutdown()
+
+
+def _side_thread_in_child() -> None:
+    # A forked child inherits no threads: inside side_thread() it needs a
+    # worker of its own.
+    global _SIDE
+    if _SIDE is not None:
+        _SIDE = ThreadPoolExecutor(1, "autodiff-side")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_side_thread_in_child)
+
+
+def _run_job(job: list) -> None:
+    fn, args = job
+    job.clear()
+    fn(*args)
+
+
+@contextmanager
+def _beside(fn: Callable[..., None], *args):
+    """Run fn(*args) on the side thread while the with-block runs here;
+    leave once both are done, raising the block's error or else fn's.
+    The worker lets go of fn and args before it completes, so what they
+    held is freed once the block is left."""
+    side = _SIDE.submit(_run_job, [fn, args])
+    try:
+        yield
+    finally:
+        error = side.exception()
+    if error is not None:
+        raise error
+
+
+def _param_grads(g_flat: np.ndarray, cols_flat: np.ndarray, bias: Tensor, weight: Tensor,
+                 k: int) -> None:
+    """Add a convolution's bias and weight gradients; g_flat is its
+    [rows, C_out] output gradient and cols_flat its im2col buffer, both
+    only read."""
+    _accumulate(bias, g_flat.sum(axis=0))
+    if _wants_grad(weight):
+        c_out = g_flat.shape[1]
+        gw = (g_flat.T @ cols_flat).reshape(c_out, k, -1).transpose(0, 2, 1)
+        _accumulate(weight, gw.reshape(weight.data.shape))
+
+
 def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
                    tape: Tape | None = None, activation: str = "none",
                    norm: tuple[Tensor, Tensor, str, BatchNormState] | None = None) -> Tensor:
@@ -229,24 +328,28 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
         raise InputTooShortError(f"conv needs at least {span} frames for k={k}, dilation={dilation}; got {t}")
     t_out = t - (k - 1) * dilation
 
-    # im2col: one contiguous time slice per kernel tap, then a single
-    # matmul. A one-tap kernel needs no copy: the input is its own im2col.
-    if k == 1:
-        cols_flat = x.reshape(n * t_out, c_in)
-    else:
-        cols_flat = np.stack([x[:, j * dilation: j * dilation + t_out, :] for j in range(k)],
-                             axis=2).reshape(n * t_out, k * c_in)
     w_flat = w.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    y = cols_flat @ w_flat.T
-    y += bias.data
     mask = None
-    if activation == "relu":
-        np.maximum(y, 0, out=y)
-        if tape is not None:
-            mask = y > 0
+    split = tape is not None and _SIDE is not None and inp.data.ndim == 3 and n > 1
+    if split:
+        cols_flat, y, mask = _affine_halves(x, w_flat, bias, dilation, t_out, activation == "relu")
+    else:
+        # im2col: one contiguous time slice per kernel tap, then a single
+        # matmul. A one-tap kernel needs no copy: the input is its own im2col.
+        if k == 1:
+            cols_flat = x.reshape(n * t_out, c_in)
+        else:
+            cols_flat = np.stack([x[:, j * dilation: j * dilation + t_out, :] for j in range(k)],
+                                 axis=2).reshape(n * t_out, k * c_in)
+        y = cols_flat @ w_flat.T
+        y += bias.data
+        if activation == "relu":
+            np.maximum(y, 0, out=y)
+            if tape is not None:
+                mask = y > 0
     if norm is not None:
         gamma, beta, mode, running = norm
-        y, xc, inv = _bn_forward(y, gamma, beta, mode, running, keep=tape is not None)
+        y, xc, inv = _bn_forward(y, gamma, beta, mode, running, tape is not None, split)
     out = Tensor(y.reshape(n, t_out, c_out) if inp.data.ndim == 3 else y)
 
     if tape is not None:
@@ -256,27 +359,61 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
                 g_flat = _bn_backward(g_flat, xc, inv, gamma, beta, mode)
             if mask is not None:
                 np.multiply(g_flat, mask, out=g_flat)
-            _accumulate(bias, g_flat.sum(axis=0))
-            if _wants_grad(weight):
-                gw = (g_flat.T @ cols_flat).reshape(c_out, k, c_in).transpose(0, 2, 1)
-                _accumulate(weight, gw.reshape(weight.data.shape))
-            if _wants_grad(inp):
-                if k == 1:
-                    # cols_flat is the caller's input here: never write it.
-                    gx = (g_flat @ w_flat).reshape(inp.data.shape)
-                else:
-                    # The im2col buffer is spent once gw is formed. col2im:
-                    # the first tap fills its frames, the tail is zeroed,
-                    # and the other taps add in index order.
-                    g_cols = np.matmul(g_flat, w_flat, out=cols_flat).reshape(n, t_out, k, c_in)
-                    gx = np.empty_like(x)
-                    gx[:, :t_out, :] = g_cols[:, :, 0, :]
-                    gx[:, t_out:, :] = 0
-                    for j in range(1, k):
-                        gx[:, j * dilation: j * dilation + t_out, :] += g_cols[:, :, j, :]
-                _accumulate(inp, gx, fresh=True)
+            if split:
+                # The side thread forms the bias and weight gradients while
+                # this one forms the input gradient, joining before return.
+                side = _beside(_param_grads, g_flat, cols_flat, bias, weight, k)
+            else:
+                _param_grads(g_flat, cols_flat, bias, weight, k)
+                side = nullcontext()
+            with side:
+                if _wants_grad(inp):
+                    if k == 1:
+                        # cols_flat is the caller's input here: never write it.
+                        gx = (g_flat @ w_flat).reshape(inp.data.shape)
+                    else:
+                        # The im2col buffer is spent once gw is formed, unless
+                        # the side thread still reads it. col2im: the first
+                        # tap fills its frames, the tail is zeroed, and the
+                        # other taps add in index order.
+                        g_cols = np.matmul(g_flat, w_flat, out=None if split else cols_flat)
+                        g_cols = g_cols.reshape(n, t_out, k, c_in)
+                        gx = np.empty_like(x)
+                        gx[:, :t_out, :] = g_cols[:, :, 0, :]
+                        gx[:, t_out:, :] = 0
+                        for j in range(1, k):
+                            gx[:, j * dilation: j * dilation + t_out, :] += g_cols[:, :, j, :]
+                    _accumulate(inp, gx, fresh=True)
         tape.record(out, bwd)
     return out
+
+
+def _affine_halves(x: np.ndarray, w_flat: np.ndarray, bias: Tensor, dilation: int, t_out: int,
+                   relu: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """conv1d_dilated's im2col, matmul, bias and relu with its mask, the
+    first N // 2 sequences here and the rest on the side thread; returns
+    (cols_flat, y, mask) as the serial path forms them."""
+    n, _, c_in = x.shape
+    c_out, kc = w_flat.shape
+    k = kc // c_in
+    cols_flat = x.reshape(n * t_out, c_in) if k == 1 else np.empty((n * t_out, kc), x.dtype)
+    y = np.empty((n * t_out, c_out), np.result_type(x, w_flat))
+    mask = np.empty(y.shape, bool) if relu else None
+
+    def rows(first: int, stop: int) -> None:
+        r = slice(first * t_out, stop * t_out)
+        if k > 1:
+            np.stack([x[first:stop, j * dilation: j * dilation + t_out, :] for j in range(k)],
+                     axis=2, out=cols_flat[r].reshape(stop - first, t_out, k, c_in))
+        np.matmul(cols_flat[r], w_flat.T, out=y[r])
+        y[r] += bias.data
+        if relu:
+            np.maximum(y[r], 0, out=y[r])
+            np.greater(y[r], 0, out=mask[r])
+
+    with _beside(rows, n // 2, n):
+        rows(0, n // 2)
+    return cols_flat, y, mask
 
 
 def dense(inp: Tensor, weight: Tensor, bias: Tensor, activation: str = "none",
@@ -358,13 +495,16 @@ class BatchNormState:
                    var=np.ones(num_features, dtype=dtype))
 
 
-def _bn_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, mode: str,
-                running: BatchNormState, keep: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bn_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, mode: str, running: BatchNormState,
+                keep: bool, split: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalize the [rows, F] array x per feature; returns (y, xc, inv).
 
     x belongs to the caller's op alone, so it is centred in place as xc.
     keep: backward will read xc, so y is a new array; otherwise y is xc,
-    scaled and shifted in place.
+    scaled and shifted in place. split (a two-thread frame layer, so keep
+    too): the centring and the scale and shift run on the first half of
+    the rows here and the second on the side thread, while the mean and
+    variance stay whole-array reductions on this thread.
     """
     rows, f = x.shape
     if mode not in ("train", "infer"):
@@ -376,22 +516,42 @@ def _bn_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, mode: str,
     if mode == "train":
         if rows < 2:
             raise BatchTooSmallError(f"batchnorm in train mode needs >= 2 rows, got {rows}")
+        mu = x.mean(axis=0)
+    else:
+        mu = running.mean
+    if split:
+        def centre(first: int, stop: int) -> None:
+            np.subtract(x[first:stop], mu, out=x[first:stop])
+
+        with _beside(centre, rows // 2, rows):
+            centre(0, rows // 2)
+        xc = x
+    else:
+        xc = np.subtract(x, mu, out=x)
+    if mode == "train":
         # Two passes: the variance of the centred array, never
         # E[x^2] - mean^2, which cancels in float32. einsum sums the
         # squares without a full-size temporary.
-        mu = x.mean(axis=0)
-        xc = np.subtract(x, mu, out=x)
         var = np.einsum("ij,ij->j", xc, xc) / rows
         m = BN_MOMENTUM
         running.mean = m * running.mean + (1.0 - m) * mu
         running.var = m * running.var + (1.0 - m) * var
     else:
-        mu, var = running.mean, running.var
-        xc = np.subtract(x, mu, out=x)
+        var = running.var
     inv = 1.0 / np.sqrt(var + BN_EPS)
     a = gamma.data * inv
-    y = xc * a if keep else np.multiply(xc, a, out=xc)
-    y += beta.data
+    if split:
+        y = np.empty(xc.shape, np.result_type(xc, a))
+
+        def scale_shift(first: int, stop: int) -> None:
+            np.multiply(xc[first:stop], a, out=y[first:stop])
+            y[first:stop] += beta.data
+
+        with _beside(scale_shift, rows // 2, rows):
+            scale_shift(0, rows // 2)
+    else:
+        y = xc * a if keep else np.multiply(xc, a, out=xc)
+        y += beta.data
     return y, xc, inv
 
 
@@ -437,7 +597,7 @@ def batchnorm1d(inp: Tensor, gamma: Tensor, beta: Tensor, mode: str,
         raise ConfigurationError(f"batchnorm input must be [N, F] or [N, T, F], got shape {inp.data.shape}")
     f = inp.data.shape[-1]
     y, xc, inv = _bn_forward(inp.data.reshape(-1, f).copy(), gamma, beta, mode, running,
-                             keep=tape is not None)
+                             tape is not None, False)
     out = Tensor(y.reshape(inp.data.shape))
 
     if tape is not None:

@@ -59,6 +59,7 @@ from .autodiff import (
     relu,
     reshape,
     scale,
+    side_thread,
     softmax_cross_entropy,
     stats_pool,
 )
@@ -437,21 +438,22 @@ def train(model: Model, manifest: Manifest, epochs: int | None = None,
     last_good = _snapshot(model)
     first = model.trained_epochs + 1
     try:
-        for epoch in range(first, first + num_epochs):
-            sums = np.zeros(3)
-            count = 0
-            for batch in make_batches(manifest, cfg.crop_length, cfg.batch_size,
-                                      cfg.seed, epoch, cfg.mtl_order):
-                lv, cv, mv = _train_step(model, batch)
-                rows.append((epoch, model.step, lv, cv, mv))
-                sums += (lv, cv, mv)
-                count += 1
-            if count == 0:
-                raise DataError("no full batch available; shrink batch_size or add utterances")
-            model.trained_epochs = epoch
-            epoch_stats.append(EpochStats(epoch, *(sums / count)))
-            last_good = _snapshot(model)
-            log.info("epoch %d: loss=%.6f ce=%.6f mse=%.6f", epoch, *(sums / count))
+        with side_thread():
+            for epoch in range(first, first + num_epochs):
+                sums = np.zeros(3)
+                count = 0
+                for batch in make_batches(manifest, cfg.crop_length, cfg.batch_size,
+                                          cfg.seed, epoch, cfg.mtl_order):
+                    lv, cv, mv = _train_step(model, batch)
+                    rows.append((epoch, model.step, lv, cv, mv))
+                    sums += (lv, cv, mv)
+                    count += 1
+                if count == 0:
+                    raise DataError("no full batch available; shrink batch_size or add utterances")
+                model.trained_epochs = epoch
+                epoch_stats.append(EpochStats(epoch, *(sums / count)))
+                last_good = _snapshot(model)
+                log.info("epoch %d: loss=%.6f ce=%.6f mse=%.6f", epoch, *(sums / count))
     except TrainingDivergedError as err:
         _restore(model, last_good)
         rows = [r for r in rows if r[0] <= model.trained_epochs]
@@ -530,8 +532,9 @@ def step_time_overhead(config: ModelConfig | None = None, num_steps: int = 200,
                 spent[key] += time.perf_counter() - start
         return spent
 
-    timed_round()  # warmup
-    rounds = [timed_round() for _ in range(repeats)]
+    with side_thread():
+        timed_round()  # warmup
+        rounds = [timed_round() for _ in range(repeats)]
     best = {key: min(r[key] for r in rounds) for key in systems}
     return StepTimeReport(baseline_seconds=best["base"], mtl_seconds=best["mtl"],
                           overhead=(best["mtl"] - best["base"]) / best["base"])

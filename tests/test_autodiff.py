@@ -1,11 +1,19 @@
 """Tape, primitives, finite-difference checks, and the optimizer."""
 
+import multiprocessing
+import os
+import threading
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from xveckit import autodiff
 from xveckit.autodiff import (
+    BN_EPS,
+    BN_MOMENTUM,
     BatchNormState,
     OptimizerState,
     Tape,
@@ -507,6 +515,219 @@ def test_backward_frees_each_entry_as_it_goes():
     assert h.grad is None and out.grad is None and loss.grad is None
     for leaf in (x, w, b, gamma, beta):
         assert leaf.grad is not None
+
+
+# ---------------------------------------------------------------------------
+# two threads: a frame layer on a tape splits its forward in row halves
+# and forms its parameter gradients on the side thread
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def side_submits(monkeypatch):
+    """(name, future) of every function handed to the side thread, in
+    order; a side thread exists for the test wherever it runs."""
+    own = ThreadPoolExecutor(1) if autodiff._SIDE is None else None
+    if own is not None:
+        monkeypatch.setattr(autodiff, "_SIDE", own)
+    submitted = []
+    submit = autodiff._SIDE.submit
+
+    def recording(fn, job):
+        submitted.append((job[0].__name__, submit(fn, job)))
+        return submitted[-1][1]
+
+    monkeypatch.setattr(autodiff._SIDE, "submit", recording)
+    yield submitted
+    if own is not None:
+        own.shutdown()
+
+
+def _names(submitted):
+    return [name for name, _ in submitted]
+
+
+def _frame_layer(dtype, shape=(16, 200, 64)):
+    """A frame layer at a shape that takes the two-thread path: x, w, b,
+    gamma, beta, running stats and an output gradient."""
+    rng = np.random.default_rng(48)
+    n, t, c = shape
+    x, w, b, beta = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                     for s in [(n, t, c), (c, c, 3), (c,), (c,)]]
+    gamma = Tensor(rng.uniform(0.5, 1.5, size=c).astype(dtype), requires_grad=True)
+    state = BatchNormState(mean=np.full(c, 0.2, dtype=dtype), var=np.full(c, 1.5, dtype=dtype))
+    g = rng.normal(size=(n, t - 4, c)).astype(dtype)
+    return x, w, b, gamma, beta, state, g
+
+
+def _backward_from(out, g, tape):
+    """backward on a loss whose gradient with respect to out is g."""
+    loss = Tensor(np.zeros((), dtype=g.dtype))
+    tape.record(loss, lambda _: setattr(out, "grad", g.copy()))
+    backward(loss, tape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_two_thread_frame_layer_is_bitwise_the_serial_formula(dtype, side_submits):
+    # One np.stack im2col, one matmul over all N * T rows and batchnorm1d's
+    # arithmetic in its order: each half of the rows, from either thread,
+    # must give exactly these bits.
+    x, w, b, gamma, beta, state, g = _frame_layer(dtype)
+    old_mean, old_var = state.mean.copy(), state.var.copy()
+    tape = Tape()
+    out = conv1d_dilated(x, w, b, 2, tape, "relu", norm=(gamma, beta, "train", state))
+    _backward_from(out, g, tape)
+    # im2col to mask, centring, scale and shift; parameter gradients
+    assert _names(side_submits) == ["rows", "centre", "scale_shift", "_param_grads"]
+
+    n, t, c = x.shape
+    t_out, rows = t - 4, n * (t - 4)
+    cols = np.stack([x.data[:, 2 * j: 2 * j + t_out, :] for j in range(3)],
+                    axis=2).reshape(rows, 3 * c)
+    w_flat = w.data.transpose(0, 2, 1).reshape(c, 3 * c)
+    h = np.maximum(cols @ w_flat.T + b.data, 0)
+    mask = h > 0
+    assert mask.any() and not mask.all()
+    mu = h.mean(axis=0)
+    xc = h - mu
+    var = np.einsum("ij,ij->j", xc, xc) / rows
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    a = gamma.data * inv
+    want = xc * a + beta.data
+    g2 = g.reshape(rows, c)
+    g_sum, gxc_sum = g2.sum(axis=0), np.einsum("ij,ij->j", g2, xc)
+    gh = (xc * (-a * inv * inv * (gxc_sum / rows)) + -a * (g_sum / rows) + g2 * a) * mask
+    g_cols = (gh @ w_flat).reshape(n, t_out, 3, c)
+    gx = np.zeros_like(x.data)
+    gx[:, :t_out] = g_cols[:, :, 0]
+    for j in (1, 2):
+        gx[:, 2 * j: 2 * j + t_out] += g_cols[:, :, j]
+    pairs = [(out.data, want.reshape(n, t_out, c)),
+             (state.mean, BN_MOMENTUM * old_mean + (1.0 - BN_MOMENTUM) * mu),
+             (state.var, BN_MOMENTUM * old_var + (1.0 - BN_MOMENTUM) * var),
+             (x.grad, gx), (w.grad, (gh.T @ cols).reshape(c, 3, c).transpose(0, 2, 1)),
+             (b.grad, gh.sum(axis=0)), (gamma.grad, gxc_sum * inv), (beta.grad, g_sum)]
+    for got, ref in pairs:
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_side_error_comes_out_of_backward_after_all_side_work(side_submits, monkeypatch):
+    # The top layer's side work fails after this thread has formed its
+    # input gradient; backward raises that error, no side work is still
+    # running, and no layer below has run.
+    x, w, b, gamma, beta, state, _ = _frame_layer(np.float32, shape=(16, 200, 8))
+    ran = []
+
+    def failing(*args):
+        ran.append(True)
+        time.sleep(0.05)
+        raise RuntimeError("side work failed")
+
+    tape = Tape()
+    h = x
+    for _ in range(3):
+        h = conv1d_dilated(h, w, b, 2, tape, "relu", norm=(gamma, beta, "train", state))
+    h = reshape(h, (16, -1), tape)
+    loss = mse_loss(h, Tensor(np.zeros(h.shape, np.float32)), tape)
+    monkeypatch.setattr(autodiff, "_param_grads", failing)
+    with pytest.raises(RuntimeError, match="side work failed"):
+        backward(loss, tape)
+    assert ran == [True] and _names(side_submits).count("failing") == 1
+    assert all(future.done() for _, future in side_submits)
+    assert w.grad is None and x.grad is None
+
+
+def test_two_thread_layer_frees_its_buffers_and_fills_every_leaf(side_submits):
+    x, w, b, gamma, beta, state, g = _frame_layer(np.float32)
+    tape = Tape()
+    out = conv1d_dilated(x, w, b, 2, tape, "relu", norm=(gamma, beta, "train", state))
+    (_, conv_bwd), = tape._entries
+    cells = dict(zip(conv_bwd.__code__.co_freevars, conv_bwd.__closure__))
+    saved = [weakref.ref(cells[name].cell_contents) for name in ("cols_flat", "xc", "mask")]
+    del conv_bwd, cells
+    _backward_from(out, g, tape)
+    assert "_param_grads" in _names(side_submits)
+    assert [ref() is None for ref in saved] == [True, True, True]
+    assert len(tape) == 0 and out.grad is None
+    for leaf in (x, w, b, gamma, beta):
+        assert leaf.grad is not None
+
+
+@pytest.mark.parametrize("grad_param", [False, True])
+def test_two_thread_layer_keeps_inputs_outputs_and_a_computed_weight(side_submits, monkeypatch,
+                                                                      grad_param):
+    # Inputs, output and parameters are only read, and the gradients equal
+    # the serial path's, also where the weight is made by an op on the
+    # tape and the side thread writes that op's gradient buffer.
+    grads = []
+    for side in (autodiff._SIDE, None):
+        monkeypatch.setattr(autodiff, "_SIDE", side)
+        x, w, b, gamma, beta, state, g = _frame_layer(np.float64, shape=(16, 200, 8))
+        before = [t.data.copy() for t in (x, w, b, gamma, beta)]
+        tape = Tape()
+        weight = scale(w, 1.0, tape) if grad_param else w
+        out = conv1d_dilated(x, weight, b, 2, tape, "relu", norm=(gamma, beta, "train", state))
+        expected = out.data.copy()
+        _backward_from(out, g, tape)
+        assert out.data.tobytes() == expected.tobytes()
+        for t, ref in zip((x, w, b, gamma, beta), before):
+            assert t.data.tobytes() == ref.tobytes()
+        grads.append([t.grad.tobytes() for t in (x, w, b, gamma, beta)])
+    assert _names(side_submits).count("_param_grads") == 1
+    assert grads[0] == grads[1]
+
+
+def _split_layer_in_child(queue):
+    x, w, b, gamma, beta, state, g = _frame_layer(np.float32)
+    tape = Tape()
+    out = conv1d_dilated(x, w, b, 2, tape, "relu", norm=(gamma, beta, "train", state))
+    _backward_from(out, g, tape)
+    queue.put(w.grad.tobytes())
+
+
+def _side_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("autodiff-side")]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_side_thread_exists_on_more_than_one_cpu(monkeypatch, cpus):
+    # ... and only inside side_thread(): its thread has exited once the
+    # block is left, so no worker outlives the run that used it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert autodiff._SIDE is None and _side_threads() == []
+    with autodiff.side_thread():
+        assert (autodiff._SIDE is not None) is (cpus > 1)
+        x, w, b, gamma, beta, state, g = _frame_layer(np.float32, shape=(4, 20, 8))
+        tape = Tape()
+        out = conv1d_dilated(x, w, b, 2, tape, "relu", norm=(gamma, beta, "train", state))
+        _backward_from(out, g, tape)
+        assert len(_side_threads()) == (cpus > 1)
+    assert autodiff._SIDE is None and _side_threads() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_forked_child_runs_two_thread_layers_on_its_own_side_thread(monkeypatch):
+    # The parent's side thread has run work, so its worker is idle; a
+    # child forked inside side_thread() inherits no thread and must start
+    # its own.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with autodiff.side_thread():
+        x, w, b, gamma, beta, state, g = _frame_layer(np.float32)
+        tape = Tape()
+        out = conv1d_dilated(x, w, b, 2, tape, "relu", norm=(gamma, beta, "train", state))
+        _backward_from(out, g, tape)
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=_split_layer_in_child, args=(queue,))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+    assert child.exitcode == 0
+    assert got == w.grad.tobytes()
 
 
 @pytest.mark.parametrize("pool_first", [False, True])

@@ -662,11 +662,9 @@ def test_scoring_per_utterance_matches_per_trial_reference(kind, length_norm, us
 def test_plda_scoring_memory_is_a_few_trial_matrices():
     # Peak memory of score_trials above its inputs, in units of one
     # float64 [trials, dim] matrix (T*d*8 bytes; here T = 20,000, d = 32,
-    # from 400 utterances). Scoring each utterance once and then gathering
-    # per trial reads 2.21 (numpy writes the product into one of the two
-    # gathered temporaries; without that it would be about 3); gathering
-    # both vectors of every trial and centring them before the quadratic
-    # forms read 5.10.
+    # from 400 utterances). Gathering SCORE_BLOCK trials at a time reads
+    # 0.263: the per-trial index and score vectors plus one block's two
+    # [SCORE_BLOCK, d] gathers. One gather over all T trials reads 2.16.
     rng = np.random.default_rng(3)
     dim, n_trials = 32, 20_000
     table = {f"u{i:03d}": rng.standard_normal(dim) for i in range(400)}
@@ -680,7 +678,7 @@ def test_plda_scoring_memory_is_a_few_trial_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * n_trials * dim * 8
+    assert peak < 0.5 * n_trials * dim * 8
 
 
 def _unblocked_scores(trials, table, plda):

@@ -1,12 +1,14 @@
 """Network assembly, training loop, embeddings, and checkpoints."""
 
+import os
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from xveckit import binio
+from xveckit import autodiff, binio
 from xveckit import model as model_module
 from xveckit.autodiff import (
     BN_EPS,
@@ -383,6 +385,27 @@ def test_embedding_rejects_short_utterance():
         extract_embedding(model, short)
 
 
+def test_tape_less_calls_never_use_the_side_thread(monkeypatch):
+    # Extraction and tape-less forwards stay on the calling thread, at a
+    # batch where a forward on a tape splits its frame layers.
+    class NoSide:
+        def submit(self, *args):
+            raise AssertionError("handed work to the side thread")
+
+    monkeypatch.setattr(autodiff, "_SIDE", NoSide())
+    model = build_model(ModelConfig(feature_dim=10, num_speakers=5,
+                                    frame_widths=(64, 64, 64, 64, 128), segment_width=64,
+                                    batch_size=16, crop_length=200))
+    rng = np.random.default_rng(12)
+    frames = rng.normal(size=(3000, 10)).astype(np.float32)
+    assert np.isfinite(extract_embedding(model, FeatureMatrix("u", "s", frames)).vector).all()
+    batch = rng.normal(size=(16, 200, 10)).astype(np.float32)
+    for mode in ("train", "infer"):
+        forward(model, batch, mode)
+    with pytest.raises(AssertionError, match="side thread"):
+        forward(model, batch, "train", Tape())
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -394,6 +417,19 @@ def test_training_reduces_loss(corpus):
     assert stats[-1].loss < stats[0].loss
     assert model.trained_epochs == 8
     assert model.step == 8 * (20 // 4)
+
+
+def test_training_uses_the_side_thread_and_leaves_none_behind(corpus, monkeypatch):
+    # The single-threaded work that follows training in one process
+    # (extraction, scoring) must not run beside an idle worker.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    halves = []
+    affine_halves = autodiff._affine_halves
+    monkeypatch.setattr(autodiff, "_affine_halves",
+                        lambda *args: halves.append(1) or affine_halves(*args))
+    train(build_model(MINIATURE_CONFIG), corpus, epochs=1)
+    assert halves and autodiff._SIDE is None
+    assert not [t for t in threading.enumerate() if t.name.startswith("autodiff-side")]
 
 
 def test_training_writes_log_and_checkpoint(corpus, tmp_path):
