@@ -34,19 +34,19 @@ run, the module keeps one side thread, a single fixed worker, when the
 process may run on more than one CPU (os.sched_getaffinity). That
 thread has exited once the block is left, so what follows training in
 the same process (extraction, scoring) runs beside no idle worker.
-Outside the block, and on one CPU, every op takes its serial path.
-Only a frame layer on a tape uses the side thread: a dilated
-convolution over [N, T, C] frames with N >= 2. Its forward runs three
-steps on two halves of its rows, the first here and the second on the
-side thread, joining after each: the im2col copy, matmul, bias, relu
-and mask (the first N // 2 sequences here), the centring, and the
-scale and shift. The batch-norm mean and variance stay whole-array
-reductions on this thread, between those steps. Its backward forms
-the bias and weight gradients on the side thread while this one forms
-the input gradient, and joins before the next closure runs, so every
-sum runs in tape order and every number is bitwise that of the serial
-path. Dense layers and every tape-less
-call run on the calling thread alone.
+Each row-wise step of a frame layer is written once, as a body over a
+range of rows: the im2col copy, matmul, bias, relu and mask, the
+batch-norm centring, and its scale and shift. _halves runs a body over
+all rows on the calling thread or, for a frame layer on a tape (a
+dilated convolution over [N, T, C] frames with N >= 2) inside the
+block, over the first half here and the second on the side thread,
+joining after each step. The batch-norm mean and variance stay
+whole-array reductions here, between those steps. That layer's backward
+forms the bias and weight gradients on the side thread while this one
+forms the input gradient (otherwise it forms them first), and joins
+before the next closure runs, so every sum runs in tape order and the
+thread count changes no bit. Dense layers and every tape-less call run
+on the calling thread alone.
 
 Ops are pure functions of their explicit inputs plus the tape. Passing
 tape=None runs forward only, which is the inference path.
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -260,11 +260,16 @@ def _run_job(job: list) -> None:
 
 
 @contextmanager
-def _beside(fn: Callable[..., None], *args):
-    """Run fn(*args) on the side thread while the with-block runs here;
-    leave once both are done, raising the block's error or else fn's.
-    The worker lets go of fn and args before it completes, so what they
-    held is freed once the block is left."""
+def _beside(split: bool, fn: Callable[..., None], *args):
+    """With split, run fn(*args) on the side thread while the with-block
+    runs here; leave once both are done, raising the block's error or
+    else fn's. The worker lets go of fn and args before it completes, so
+    what they held is freed once the block is left. Without split, run
+    fn(*args) here before the block."""
+    if not split:
+        fn(*args)
+        yield
+        return
     side = _SIDE.submit(_run_job, [fn, args])
     try:
         yield
@@ -272,6 +277,17 @@ def _beside(fn: Callable[..., None], *args):
         error = side.exception()
     if error is not None:
         raise error
+
+
+def _halves(split: bool, rows: Callable[[int, int], None], n: int) -> None:
+    """Run rows(first, stop) over [0, n): as rows(0, n) here, or with
+    split as rows(0, n // 2) here beside rows(n // 2, n) on the side
+    thread."""
+    if split:
+        with _beside(True, rows, n // 2, n):
+            rows(0, n // 2)
+    else:
+        rows(0, n)
 
 
 def _param_grads(g_flat: np.ndarray, cols_flat: np.ndarray, bias: Tensor, weight: Tensor,
@@ -329,24 +345,27 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
     t_out = t - (k - 1) * dilation
 
     w_flat = w.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    mask = None
     split = tape is not None and _SIDE is not None and inp.data.ndim == 3 and n > 1
-    if split:
-        cols_flat, y, mask = _affine_halves(x, w_flat, bias, dilation, t_out, activation == "relu")
-    else:
-        # im2col: one contiguous time slice per kernel tap, then a single
-        # matmul. A one-tap kernel needs no copy: the input is its own im2col.
-        if k == 1:
-            cols_flat = x.reshape(n * t_out, c_in)
-        else:
-            cols_flat = np.stack([x[:, j * dilation: j * dilation + t_out, :] for j in range(k)],
-                                 axis=2).reshape(n * t_out, k * c_in)
-        y = cols_flat @ w_flat.T
-        y += bias.data
+    # im2col: one contiguous time slice per kernel tap, then a single
+    # matmul. A one-tap kernel needs no copy: the input is its own im2col.
+    cols_flat = x.reshape(n * t_out, c_in) if k == 1 else np.empty((n * t_out, k * c_in), x.dtype)
+    y = np.empty((n * t_out, c_out), np.result_type(x, w_flat))
+    mask = np.empty(y.shape, bool) if activation == "relu" and tape is not None else None
+
+    def rows(first: int, stop: int) -> None:
+        r = slice(first * t_out, stop * t_out)
+        cols, part = cols_flat[r], y[r]
+        if k > 1:
+            np.stack([x[first:stop, j * dilation: j * dilation + t_out, :] for j in range(k)],
+                     axis=2, out=cols.reshape(stop - first, t_out, k, c_in))
+        np.matmul(cols, w_flat.T, out=part)
+        part += bias.data
         if activation == "relu":
-            np.maximum(y, 0, out=y)
-            if tape is not None:
-                mask = y > 0
+            np.maximum(part, 0, out=part)
+        if mask is not None:
+            np.greater(part, 0, out=mask[r])
+
+    _halves(split, rows, n)
     if norm is not None:
         gamma, beta, mode, running = norm
         y, xc, inv = _bn_forward(y, gamma, beta, mode, running, tape is not None, split)
@@ -359,14 +378,9 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
                 g_flat = _bn_backward(g_flat, xc, inv, gamma, beta, mode)
             if mask is not None:
                 np.multiply(g_flat, mask, out=g_flat)
-            if split:
-                # The side thread forms the bias and weight gradients while
-                # this one forms the input gradient, joining before return.
-                side = _beside(_param_grads, g_flat, cols_flat, bias, weight, k)
-            else:
-                _param_grads(g_flat, cols_flat, bias, weight, k)
-                side = nullcontext()
-            with side:
+            # With split the side thread forms the bias and weight gradients
+            # while this one forms the input gradient, joining before return.
+            with _beside(split, _param_grads, g_flat, cols_flat, bias, weight, k):
                 if _wants_grad(inp):
                     if k == 1:
                         # cols_flat is the caller's input here: never write it.
@@ -386,34 +400,6 @@ def conv1d_dilated(inp: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
                     _accumulate(inp, gx, fresh=True)
         tape.record(out, bwd)
     return out
-
-
-def _affine_halves(x: np.ndarray, w_flat: np.ndarray, bias: Tensor, dilation: int, t_out: int,
-                   relu: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """conv1d_dilated's im2col, matmul, bias and relu with its mask, the
-    first N // 2 sequences here and the rest on the side thread; returns
-    (cols_flat, y, mask) as the serial path forms them."""
-    n, _, c_in = x.shape
-    c_out, kc = w_flat.shape
-    k = kc // c_in
-    cols_flat = x.reshape(n * t_out, c_in) if k == 1 else np.empty((n * t_out, kc), x.dtype)
-    y = np.empty((n * t_out, c_out), np.result_type(x, w_flat))
-    mask = np.empty(y.shape, bool) if relu else None
-
-    def rows(first: int, stop: int) -> None:
-        r = slice(first * t_out, stop * t_out)
-        if k > 1:
-            np.stack([x[first:stop, j * dilation: j * dilation + t_out, :] for j in range(k)],
-                     axis=2, out=cols_flat[r].reshape(stop - first, t_out, k, c_in))
-        np.matmul(cols_flat[r], w_flat.T, out=y[r])
-        y[r] += bias.data
-        if relu:
-            np.maximum(y[r], 0, out=y[r])
-            np.greater(y[r], 0, out=mask[r])
-
-    with _beside(rows, n // 2, n):
-        rows(0, n // 2)
-    return cols_flat, y, mask
 
 
 def dense(inp: Tensor, weight: Tensor, bias: Tensor, activation: str = "none",
@@ -502,9 +488,8 @@ def _bn_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, mode: str, running: 
     x belongs to the caller's op alone, so it is centred in place as xc.
     keep: backward will read xc, so y is a new array; otherwise y is xc,
     scaled and shifted in place. split (a two-thread frame layer, so keep
-    too): the centring and the scale and shift run on the first half of
-    the rows here and the second on the side thread, while the mean and
-    variance stay whole-array reductions on this thread.
+    too) cuts the centring and the scale and shift in row halves (see
+    _halves); the mean and variance stay whole-array reductions here.
     """
     rows, f = x.shape
     if mode not in ("train", "infer"):
@@ -519,15 +504,13 @@ def _bn_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, mode: str, running: 
         mu = x.mean(axis=0)
     else:
         mu = running.mean
-    if split:
-        def centre(first: int, stop: int) -> None:
-            np.subtract(x[first:stop], mu, out=x[first:stop])
 
-        with _beside(centre, rows // 2, rows):
-            centre(0, rows // 2)
-        xc = x
-    else:
-        xc = np.subtract(x, mu, out=x)
+    def centre(first: int, stop: int) -> None:
+        part = x[first:stop]
+        np.subtract(part, mu, out=part)
+
+    _halves(split, centre, rows)
+    xc = x
     if mode == "train":
         # Two passes: the variance of the centred array, never
         # E[x^2] - mean^2, which cancels in float32. einsum sums the
@@ -540,18 +523,14 @@ def _bn_forward(x: np.ndarray, gamma: Tensor, beta: Tensor, mode: str, running: 
         var = running.var
     inv = 1.0 / np.sqrt(var + BN_EPS)
     a = gamma.data * inv
-    if split:
-        y = np.empty(xc.shape, np.result_type(xc, a))
+    y = np.empty(xc.shape, np.result_type(xc, a)) if keep else xc
 
-        def scale_shift(first: int, stop: int) -> None:
-            np.multiply(xc[first:stop], a, out=y[first:stop])
-            y[first:stop] += beta.data
+    def scale_shift(first: int, stop: int) -> None:
+        part = y[first:stop]
+        np.multiply(xc[first:stop], a, out=part)
+        part += beta.data
 
-        with _beside(scale_shift, rows // 2, rows):
-            scale_shift(0, rows // 2)
-    else:
-        y = xc * a if keep else np.multiply(xc, a, out=xc)
-        y += beta.data
+    _halves(split, scale_shift, rows)
     return y, xc, inv
 
 

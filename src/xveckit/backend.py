@@ -15,7 +15,8 @@ cost is O(U d^2 + T d) time and O(U d + SCORE_BLOCK d) memory for U
 utterances and T trials, beside a few int and float columns of length
 T. Both scorers are symmetric, so a
 trial list that names one pair twice, as (a, b) or (b, a), is rejected by
-_check_unique, for score_trials and for trial_scores alike.
+_check_unique, for score_trials and for trial_scores alike, and a score
+file that scores one pair twice by read_scores.
 
 Trial lists and score files are id rows, not one object per trial: a
 table of the distinct ids and, per trial, the rows of its enroll and
@@ -447,10 +448,15 @@ def _first_repeat(codes: np.ndarray) -> tuple[int, int] | None:
     return i, int(order[np.searchsorted(ranked, codes[i])])
 
 
+def _pair_codes(enroll: np.ndarray, test: np.ndarray, n: int) -> np.ndarray:
+    """One code per pair of rows (< n), the same in either order."""
+    return np.minimum(enroll, test) * n + np.maximum(enroll, test)
+
+
 def _check_unique(trials: Trials, enroll: np.ndarray, test: np.ndarray, n: int) -> None:
     """Raise DataError naming the first trial whose pair of rows (< n), in
     either order and whatever the labels, an earlier trial holds."""
-    repeat = _first_repeat(np.minimum(enroll, test) * n + np.maximum(enroll, test))
+    repeat = _first_repeat(_pair_codes(enroll, test, n))
     if repeat is not None:
         i, j = repeat
         t = trials[j]
@@ -631,7 +637,7 @@ def _scores(fields: list[str]) -> np.ndarray | None:
 def _raise_first_fault(path: Path, third: str) -> NoReturn:
     """Read `path` again line by line and raise DataError naming its first
     bad line: another field count than three, a bad label or score, or a
-    second score for one trial."""
+    second score for one trial, in either order (see _pair_codes)."""
     seen = set()
     with binio.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -649,9 +655,10 @@ def _raise_first_fault(path: Path, third: str) -> NoReturn:
                     float(field)
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: bad score {field!r}") from None
-                if (enroll, test) in seen:
+                pair = min(enroll, test), max(enroll, test)
+                if pair in seen:
                     raise DataError(f"{path}:{lineno}: a second score for trial {enroll} {test}")
-                seen.add((enroll, test))
+                seen.add(pair)
     raise AssertionError(f"{path}: the block read found a fault no line holds")
 
 
@@ -700,12 +707,12 @@ def write_scores(path: Path | str, trials: Trials | list[Trial], scores: np.ndar
 
 def read_scores(path: Path | str) -> Scores:
     """A score file as id rows, read READ_BLOCK bytes at a time. A trial
-    scored on two lines raises DataError naming the second. Only a
-    malformed file is read again, line by line, to name its first bad
-    line."""
+    scored on two lines, in either order, raises DataError naming the
+    second. Only a malformed file is read again, line by line, to name
+    its first bad line."""
     path = Path(path)
     rows = _read_rows(path, _scores)
-    if rows is None or _first_repeat(rows[1] * len(rows[0]) + rows[2]) is not None:
+    if rows is None or _first_repeat(_pair_codes(rows[1], rows[2], len(rows[0]))) is not None:
         _raise_first_fault(path, "score")
     scores = Scores(*rows)
     if not len(scores):

@@ -343,7 +343,10 @@ def _cmd_sweep(args) -> int:
             sys_config = replace(config, mtl_order=0 if alpha == 0.0 else order,
                                  task_weight=alpha)
             _project(sys_config, ModelConfig, num_speakers=len(train_counts)).validate()
-            systems.setdefault(system_name(order, alpha), sys_config)
+            name = system_name(order, alpha)
+            if systems.setdefault(name, sys_config) != sys_config:
+                raise UsageError(f"task weights {systems[name].task_weight!r} and {alpha!r} "
+                                 f"both name system {name}")
     if config.scorer == "plda":
         bk.check_lda_dim(config.lda_dim, train_counts, config.segment_width)
 

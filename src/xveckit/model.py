@@ -567,6 +567,9 @@ def load_checkpoint(path: Path | str) -> Model:
                                            for f in dataclasses.fields(ModelConfig)}))
         model.opt_state.step_count = int(meta["step"])
         model.trained_epochs = int(meta["trained_epochs"])
+        for key in ("step", "trained_epochs"):  # Adam divides by 1 - beta^step
+            if int(meta[key]) < 0:
+                raise ValueError(f"{key} must be >= 0, got {meta[key]}")
     except KeyError as err:
         raise ParseError(f"{path}: missing metadata key {err}") from None
     except ValueError as err:

@@ -566,13 +566,36 @@ def _backward_from(out, g, tape):
     backward(loss, tape)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_two_thread_frame_layer_is_bitwise_the_serial_formula(dtype, side_submits):
+@pytest.mark.parametrize("dtype, taped", [(np.float32, True), (np.float64, True),
+                                          (np.float32, False)],
+                         ids=["float32", "float64", "tape-less"])
+def test_two_thread_frame_layer_is_bitwise_the_serial_formula(dtype, taped, side_submits):
     # One np.stack im2col, one matmul over all N * T rows and batchnorm1d's
     # arithmetic in its order: each half of the rows, from either thread,
-    # must give exactly these bits.
+    # must give exactly these bits. Without a tape (extraction: infer mode,
+    # batch norm in place) the same bodies run whole on this thread, at
+    # k = 3, at k = 1 and on a 2-d dense input.
     x, w, b, gamma, beta, state, g = _frame_layer(dtype)
     old_mean, old_var = state.mean.copy(), state.var.copy()
+    if not taped:
+        x_before = x.data.tobytes()
+        for xd, wd, dilation in [(x.data, w.data, 2), (x.data, w.data[..., :1], 1),
+                                 (x.data[:, 0], w.data[..., 0], 1)]:
+            out = conv1d_dilated(Tensor(xd), Tensor(wd), b, dilation, None, "relu",
+                                 norm=(gamma, beta, "infer", state))
+            x3, w3 = (xd, wd) if xd.ndim == 3 else (xd[:, None], wd[..., None])
+            c, k = w3.shape[1:]
+            t_out = x3.shape[1] - (k - 1) * dilation
+            cols = np.stack([x3[:, dilation * j: dilation * j + t_out] for j in range(k)],
+                            axis=2).reshape(-1, k * c)
+            h = np.maximum(cols @ w3.transpose(0, 2, 1).reshape(-1, k * c).T + b.data, 0)
+            a = gamma.data * (1.0 / np.sqrt(old_var + BN_EPS))
+            want = ((h - old_mean) * a + beta.data).reshape(out.shape)
+            assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+        assert side_submits == [] and x.data.tobytes() == x_before
+        assert state.mean.tobytes() == old_mean.tobytes()
+        assert state.var.tobytes() == old_var.tobytes()
+        return
     tape = Tape()
     out = conv1d_dilated(x, w, b, 2, tape, "relu", norm=(gamma, beta, "train", state))
     _backward_from(out, g, tape)

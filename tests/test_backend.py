@@ -760,14 +760,14 @@ def test_trials_read_as_a_sequence_of_rows():
 
 def test_scores_read_as_a_mapping(tmp_path):
     p = tmp_path / "s.txt"
-    p.write_text("a b 0.5\nb a -1.25\n")
+    p.write_text("a b 0.5\nb c -1.25\n")
     scores = read_scores(p)
-    assert scores.ids == ["a", "b"]
-    assert scores.enroll.tolist() == [0, 1] and scores.test.tolist() == [1, 0]
+    assert scores.ids == ["a", "b", "c"]
+    assert scores.enroll.tolist() == [0, 1] and scores.test.tolist() == [1, 2]
     assert scores.value.dtype == np.float64 and scores.value.tolist() == [0.5, -1.25]
-    assert len(scores) == 2 and list(scores) == [("a", "b"), ("b", "a")]
-    assert scores[("b", "a")] == -1.25 and ("a", "a") not in scores
-    assert dict(scores) == {("a", "b"): 0.5, ("b", "a"): -1.25}
+    assert len(scores) == 2 and list(scores) == [("a", "b"), ("b", "c")]
+    assert scores[("b", "c")] == -1.25 and ("a", "a") not in scores
+    assert dict(scores) == {("a", "b"): 0.5, ("b", "c"): -1.25}
 
 
 def test_all_pairs_trials():
@@ -808,6 +808,15 @@ def test_scores_reject_a_trial_scored_twice(tmp_path):
     p = tmp_path / "s.txt"
     p.write_text("a b 0.9\n\na c 0.1\na b -5.0\n")
     with pytest.raises(DataError, match=r"s\.txt:4: a second score for trial a b"):
+        read_scores(p)
+
+
+def test_scores_reject_a_trial_scored_in_both_orders(tmp_path):
+    # both scorers are symmetric, so (b, a) is trial (a, b) again, as a
+    # trial list counts it
+    p = tmp_path / "s.txt"
+    p.write_text("a b 0.9\na c 0.1\nb a 0.9\n")
+    with pytest.raises(DataError, match=r"s\.txt:3: a second score for trial b a"):
         read_scores(p)
 
 
@@ -955,17 +964,19 @@ def test_the_first_fault_in_line_order_is_named(tmp_path, monkeypatch):
 
 def test_reads_hold_a_few_columns_per_line_not_the_text(tmp_path):
     # Peak memory of read_trials and read_scores at 20,000 and 80,000 lines
-    # over 400 ids of 30 characters: each line adds its enroll and test rows
-    # (two int columns) and a bool or float64 column, held twice while the
-    # blocks are joined, and read_scores sorts one int column of pair codes:
-    # 29 and 46 bytes a line. A whole-file read, which holds the text and
-    # one str per field at once, took about 400.
+    # over 500 ids of 30 characters, each unordered pair at most once: each
+    # line adds its enroll and test rows (two int columns) and a bool or
+    # float64 column, held twice while the blocks are joined, and
+    # read_scores sorts one int column of pair codes: 29 and 46 bytes a
+    # line. A whole-file read, which holds the text and one str per field
+    # at once, took about 400.
     rng = np.random.default_rng(4)
-    ids = [f"speaker{i:04d}_utterance{i:05d}_x" for i in range(400)]
+    ids = [f"speaker{i:04d}_utterance{i:05d}_x" for i in range(500)]
+    first, second = np.triu_indices(len(ids), k=1)
     peaks = {}
     for n_lines in (20_000, 80_000):
-        pairs = rng.choice(400 * 400, size=n_lines, replace=False)
-        trials = backend.Trials(ids, pairs // 400, pairs % 400, rng.integers(2, size=n_lines))
+        pairs = rng.choice(len(first), size=n_lines, replace=False)
+        trials = backend.Trials(ids, first[pairs], second[pairs], rng.integers(2, size=n_lines))
         write_trials(tmp_path / "t.txt", trials)
         write_scores(tmp_path / "s.txt", trials, rng.standard_normal(n_lines))
         for read, name in ((read_trials, "t.txt"), (read_scores, "s.txt")):

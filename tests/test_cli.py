@@ -8,11 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from xveckit import backend, binio
+from xveckit import backend, binio, model
 from xveckit.backend import read_embeddings, write_embeddings
 from xveckit.cli import RunConfig, main, parse_config, serialize_config, system_name
 from xveckit.data import CorpusSpec, Manifest
-from xveckit.errors import ConfigurationError
+from xveckit.errors import ConfigurationError, ParseError
 from xveckit.metrics import DcfParams
 from xveckit.model import ModelConfig
 
@@ -302,11 +302,13 @@ def test_score_and_evaluate_reject_a_trial_list_that_holds_a_pair_both_ways(
     assert main(["score", "--config", str(cfg), "--trials", str(tmp_path / "trials.txt"),
                  "--embeddings", str(tmp_path / "e.xveb"), "--out", str(tmp_path / "s.txt")]) == 1
     assert not (tmp_path / "s.txt").exists()
-    # a score file that holds both orders, as a line-per-trial scorer writes it
+    assert "trial 3: repeats trial 1 (u0 u1)" in caplog.text
+    # a score file that holds both orders, as a line-per-trial scorer
+    # writes it, scores that pair twice by the same rule
     (tmp_path / "s.txt").write_text("u0 u1 0.9\nu0 u2 0.1\nu1 u0 0.9\nu2 u3 0.8\n")
     assert main(["evaluate", "--config", str(cfg), "--scores", str(tmp_path / "s.txt"),
                  "--trials", str(tmp_path / "trials.txt")]) == 1
-    assert caplog.text.count("trial 3: repeats trial 1 (u0 u1)") == 2
+    assert "s.txt:3: a second score for trial u1 u0" in caplog.text
 
 
 def test_evaluate_names_the_first_trial_without_a_score(workspace, tmp_path, caplog):
@@ -331,7 +333,7 @@ def test_evaluate_joins_scores_by_pair_not_by_line(workspace, tmp_path):
     shuffled = [lines[i] for i in rng.permutation(len(lines))]
     (tmp_path / "in_order.txt").write_text("".join(lines))
     (tmp_path / "shuffled.txt").write_text(
-        "".join(shuffled[:5] + ["u1 u0 9.5\n", "u0 ghost -3.0\n"] + shuffled[5:]))
+        "".join(shuffled[:5] + ["u1 ghost 9.5\n", "u0 ghost -3.0\n"] + shuffled[5:]))
     for name in ("in_order", "shuffled"):
         assert main(["evaluate", "--config", str(cfg), "--scores", str(tmp_path / f"{name}.txt"),
                      "--trials", str(tmp_path / "trials.txt"),
@@ -407,6 +409,19 @@ def test_sweep_rejects_empty_grid(workspace, tmp_path):
     rc = main(["sweep", "--config", str(cfg), "--data", str(root / "corpus"),
                "--alphas", "", "--orders", "4", "--out", str(tmp_path / "s")])
     assert rc == 1
+
+
+def test_sweep_rejects_two_grid_points_of_one_name(workspace, tmp_path, caplog):
+    # 0.3 and 0.30000001 both name MT-o4-a3: training one of them alone
+    # would drop a grid point. The baseline every order shares stays one.
+    root, cfg = workspace
+    sweep = ["sweep", "--config", str(cfg), "--data", str(root / "corpus"), "--orders", "4,2"]
+    assert main(sweep + ["--alphas", "0,0.3,0.30000001", "--out", str(tmp_path / "s")]) == 1
+    assert "task weights 0.3 and 0.30000001 both name system MT-o4-a3" in caplog.text
+    assert not (tmp_path / "s").exists()
+    assert main(sweep + ["--alphas", "0", "--out", str(tmp_path / "b")]) == 0
+    rows = (tmp_path / "b" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["baseline"]
 
 
 def test_sweep_validates_config_before_generating_corpus(tmp_path, caplog):
@@ -551,6 +566,22 @@ def test_sweep_metrics_match_evaluate_on_its_files(workspace, tmp_path, scorer):
 # ---------------------------------------------------------------------------
 # malformed artifacts
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", ["step", "trained_epochs"])
+def test_a_negative_checkpoint_counter_exits_one(workspace, tmp_path, caplog, key):
+    # Adam divides by 1 - beta^step, which a step count <= 0 breaks
+    root, cfg = workspace
+    magic, version = model.CHECKPOINT_MAGIC, model.CHECKPOINT_VERSION
+    meta, arrays = binio.read_container(root / "sys" / "model.ckpt", magic, version, "a checkpoint")
+    meta[key] = "-3"
+    binio.write_container(tmp_path / "bad.ckpt", magic, version, meta, arrays)
+    with pytest.raises(ParseError, match=rf"bad\.ckpt: bad metadata value \({key} must be >= 0"):
+        model.load_checkpoint(tmp_path / "bad.ckpt")
+    assert main(["extract", "--config", str(cfg), "--model", str(tmp_path / "bad.ckpt"),
+                 "--data", str(root / "corpus"), "--out", str(tmp_path / "e.xveb")]) == 1
+    assert f"{key} must be >= 0, got -3" in caplog.text
+    assert not (tmp_path / "e.xveb").exists()
+
 
 # offset: the first byte of the metadata blob (checkpoint, backend) or of
 # the first utterance id (embedding archive)

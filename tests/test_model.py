@@ -3,6 +3,8 @@
 import os
 import threading
 import tracemalloc
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -420,16 +422,35 @@ def test_training_reduces_loss(corpus):
 
 
 def test_training_uses_the_side_thread_and_leaves_none_behind(corpus, monkeypatch):
-    # The single-threaded work that follows training in one process
-    # (extraction, scoring) must not run beside an idle worker.
+    # Each step hands four row-wise steps of each of the five frame layers
+    # to the side thread. The single-threaded work that follows training in
+    # one process (extraction, scoring) must not run beside an idle worker.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    halves = []
-    affine_halves = autodiff._affine_halves
-    monkeypatch.setattr(autodiff, "_affine_halves",
-                        lambda *args: halves.append(1) or affine_halves(*args))
+    handed = []
+
+    class Counting(ThreadPoolExecutor):
+        def submit(self, fn, job):
+            handed.append(job[0].__name__)
+            return super().submit(fn, job)
+
+    monkeypatch.setattr(autodiff, "ThreadPoolExecutor", Counting)
     train(build_model(MINIATURE_CONFIG), corpus, epochs=1)
-    assert halves and autodiff._SIDE is None
+    steps, layers = 20 // 4, len(MINIATURE_CONFIG.frame_widths)
+    assert Counter(handed) == {name: steps * layers
+                               for name in ("rows", "centre", "scale_shift", "_param_grads")}
+    assert autodiff._SIDE is None
     assert not [t for t in threading.enumerate() if t.name.startswith("autodiff-side")]
+
+
+def test_training_writes_the_same_bytes_on_one_thread_and_two(corpus, tmp_path, monkeypatch):
+    # The thread count only decides how a frame layer's rows are cut.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with ThreadPoolExecutor(1, "autodiff-side") as worker:
+        for side, out in ((worker, "two"), (None, "one")):
+            monkeypatch.setattr(autodiff, "_SIDE", side)
+            train(build_model(MINIATURE_CONFIG), corpus, epochs=1, out_dir=tmp_path / out)
+    for name in ("model.ckpt", "train_log.csv"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_training_writes_log_and_checkpoint(corpus, tmp_path):
