@@ -22,13 +22,14 @@ Trial lists and score files are id rows, not one object per trial: a
 table of the distinct ids and, per trial, the rows of its enroll and
 test ids in it. Trials adds a bool target array and reads as a sequence
 of Trial rows; Scores adds a float64 value array and reads as a mapping
-(enroll, test) -> score. Either file is read READ_BLOCK bytes at a time,
-cut back to whole lines: the field count of each line of a block is
+(enroll, test) -> score. Either file is read READ_BLOCK characters at a
+time, cut back to whole lines: the field count of each line of a block is
 checked with numpy on its character codes, and its fields become rows of
 the file's one id table and its third column. Only a malformed file is
 read again, line by line, to name its first bad line. trial_scores maps
-a score file's table into the trial list's and joins the two by integer
-pair codes, in any line order.
+a score file's table into the trial list's and joins the two on the
+unordered pair (_pair_codes, the key of the repeat checks too), in any
+line order: trial (b, a) takes the score of line "a b".
 
 LDA and PLDA code the speaker labels once as integers, in sorted label
 order, and sum over the row groups of one stable sort of the codes; an
@@ -98,7 +99,7 @@ EMBEDDINGS_VERSION = 1
 # Trials gathered and reduced at once when scoring, and lines formatted at
 # once when writing: the temporaries of score_trials are O(SCORE_BLOCK x d).
 SCORE_BLOCK = 1024
-# Bytes of a trial or score file read at once, cut back to the last whole
+# Characters of a trial or score file read at once, cut back to the last whole
 # line: a read holds O(READ_BLOCK) text and fields at a time, beside its
 # id table and a few int and float columns of length T.
 READ_BLOCK = 1 << 16
@@ -453,10 +454,10 @@ def _pair_codes(enroll: np.ndarray, test: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(enroll, test) * n + np.maximum(enroll, test)
 
 
-def _check_unique(trials: Trials, enroll: np.ndarray, test: np.ndarray, n: int) -> None:
-    """Raise DataError naming the first trial whose pair of rows (< n), in
-    either order and whatever the labels, an earlier trial holds."""
-    repeat = _first_repeat(_pair_codes(enroll, test, n))
+def _check_unique(trials: Trials, codes: np.ndarray) -> None:
+    """Raise DataError naming the first trial whose pair code (_pair_codes:
+    either order, whatever the labels) an earlier trial holds."""
+    repeat = _first_repeat(codes)
     if repeat is not None:
         i, j = repeat
         t = trials[j]
@@ -492,7 +493,7 @@ def score_trials(trials: Trials, embeddings: dict[str, np.ndarray],
         i = int(np.argmax(~known[enroll] | ~known[test]))
         utt = ids[enroll[i]] if not known[enroll[i]] else ids[test[i]]
         raise DataError(f"trial {i + 1}: no embedding for utterance '{utt}'")
-    _check_unique(trials, enroll, test, len(ids))
+    _check_unique(trials, _pair_codes(enroll, test, len(ids)))
 
     x = np.stack([np.asarray(embeddings[u], dtype=np.float64) for u in ids])
     if preprocessor is not None:
@@ -533,22 +534,24 @@ def _plda_terms(model: PldaModel, x: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def trial_scores(trials: Trials, scores: Scores, source: Path | str) -> np.ndarray:
-    """Each trial's score, matched by its (enroll, test) pair; scores of
-    pairs the trial list does not hold are ignored. Raises DataError
-    naming the first trial that repeats an earlier one (in either order)
-    or has no score in `source`, whichever comes first."""
+    """Each trial's score, matched by its unordered pair (_pair_codes), as
+    both scorers are symmetric; scores of pairs the trial list does not
+    hold are ignored. Raises DataError naming the first trial that
+    repeats an earlier one (in either order) or has no score in `source`,
+    whichever comes first."""
+    n = len(trials.ids)
     row = {u: i for i, u in enumerate(trials.ids)}
-    # the score file's rows in the trial list's table; -1 for an id it lacks
-    remap = np.fromiter((row.get(u, -1) for u in scores.ids), np.intp, len(scores.ids))
-    enroll, test = remap[scores.enroll], remap[scores.test]
-    want = trials.enroll * len(row) + trials.test
-    have = np.where((enroll < 0) | (test < 0), -1, enroll * len(row) + test)
+    # the score file's rows in the trial list's table; n, a row no trial
+    # names, for an id it lacks
+    remap = np.fromiter((row.get(u, n) for u in scores.ids), np.intp, len(scores.ids))
+    want = _pair_codes(trials.enroll, trials.test, n + 1)
+    have = _pair_codes(remap[scores.enroll], remap[scores.test], n + 1)
     by_want, by_have = np.argsort(want), np.argsort(have)
     at = np.empty_like(by_want)  # searched in sorted order, which keeps the search in cache
     at[by_want] = by_have[np.minimum(np.searchsorted(have[by_have], want[by_want]), len(have) - 1)]
     missing = have[at] != want
     first_missing = int(np.argmax(missing)) if missing.any() else len(want)
-    _check_unique(trials, trials.enroll[:first_missing], trials.test[:first_missing], len(row))
+    _check_unique(trials, want[:first_missing])
     if first_missing < len(want):
         t = trials[first_missing]
         raise DataError(f"trial {first_missing + 1} ({t.enroll_id} {t.test_id}) "
@@ -597,7 +600,7 @@ def _three_fields_a_line(text: str) -> bool:
 def _read_rows(path: Path, parse) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
     """A file of three-field lines (blank lines skipped) as an id table,
     the enroll and test rows of each line in it and the column `parse`
-    makes of the third fields, READ_BLOCK bytes at a time; None if a line
+    makes of the third fields, READ_BLOCK characters at a time; None if a line
     holds another field count or `parse` returns None for some block."""
     table: dict[str, int] = {}
     blocks = []
@@ -663,7 +666,7 @@ def _raise_first_fault(path: Path, third: str) -> NoReturn:
 
 
 def read_trials(path: Path | str) -> Trials:
-    """A trial file as id rows, read READ_BLOCK bytes at a time; only a
+    """A trial file as id rows, read READ_BLOCK characters at a time; only a
     malformed file is read again, line by line, to name its first bad
     line."""
     path = Path(path)
@@ -706,7 +709,7 @@ def write_scores(path: Path | str, trials: Trials | list[Trial], scores: np.ndar
 
 
 def read_scores(path: Path | str) -> Scores:
-    """A score file as id rows, read READ_BLOCK bytes at a time. A trial
+    """A score file as id rows, read READ_BLOCK characters at a time. A trial
     scored on two lines, in either order, raises DataError naming the
     second. Only a malformed file is read again, line by line, to name
     its first bad line."""

@@ -8,8 +8,10 @@ nothing after them. write_container and read_container are the only
 writer and reader of that framing; the metadata blob is one string
 holding key=value lines, and Reader.meta is its only parser. Every
 versioned artifact checks its magic and version through Reader.header.
-Reader.text, open_text and text_blocks (text files) are the only places
-that decode utf-8. Non-utf-8 bytes and non-finite tensor values raise ParseError.
+Reader.text (strings in binary files) and open_text (text files, which
+text_blocks reads through) are the only utf-8 decoders, and atomic_write
+writes text as utf-8. Non-utf-8 bytes and non-finite tensor values raise
+ParseError.
 
 The field codec, format_field and parse_field, turns one dataclass field
 into text and back, chosen by the field's annotation (int, float, str,
@@ -83,38 +85,24 @@ def open_text(path: Path | str, newline: str | None = None):
         with Path(path).open(encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
+        raise ParseError(f"{path}: text is not utf-8 ({err.reason})") from None
 
 
 def text_blocks(path: Path | str, size: int):
-    """The utf-8 text of a file in blocks of whole lines, each read as
-    `size` bytes and cut back to its last \\n (a longer line makes its
-    block longer, so a file whose lines end in \\r alone is one block; the
-    last block may lack a line end). Line ends \\r\\n and \\r read as
-    \\n, as open_text reads them; a \\r\\n never spans two blocks."""
-    with Path(path).open("rb") as fh:
-        rest = b""
+    """The text of a file, read through open_text, in blocks of whole
+    lines: each read takes `size` characters and is cut back to its last
+    \\n (a longer line makes its block longer; the last block may lack a
+    line end). Line ends \\r\\n and \\r read as \\n."""
+    with open_text(path) as fh:
+        rest = ""
         while chunk := fh.read(size):
             block = rest + chunk
-            end = block.rfind(b"\n") + 1
+            end = block.rfind("\n") + 1
             rest = block[end:]
             if end:
-                yield _decoded(block[:end], path)
+                yield block[:end]
         if rest:
-            yield _decoded(rest, path)
-
-
-def _decoded(raw: bytes, path: Path | str) -> str:
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
-
-
-def _not_utf8(path: Path | str, err: UnicodeDecodeError) -> ParseError:
-    return ParseError(f"{path}: text is not utf-8 ({err.reason})")
+            yield rest
 
 
 class Reader:
@@ -172,13 +160,14 @@ class Reader:
 
 @contextlib.contextmanager
 def atomic_write(path: Path | str, mode: str = "wb", newline: str | None = None):
-    """Open a new file beside `path` for writing ("wb" or "w", with `newline`
-    as in open()); it replaces `path` when the block completes and is
-    removed if the block raises."""
+    """Open a new file beside `path` for writing ("wb", or "w" for utf-8
+    text with `newline` as in open()); it replaces `path` when the block
+    completes and is removed if the block raises."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
     try:
-        with tmp.open(mode.replace("w", "x"), newline=newline) as fh:
+        with tmp.open(mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8",
+                      newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -924,6 +924,15 @@ def test_a_crlf_split_by_a_block_read_is_one_line_end(tmp_path, monkeypatch):
         read_trials(p)
 
 
+def test_a_file_of_cr_line_ends_reads_in_blocks(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"".join(b"u%d u%d target\r" % (i, i + 1) for i in range(8)))
+    blocks = list(binio.text_blocks(p, 16))
+    assert len(blocks) > 1
+    assert all(block.endswith("\n") for block in blocks[:-1])
+    assert "".join(blocks) == p.read_bytes().decode().replace("\r", "\n")
+
+
 def _padded(bad_line: str, third: str) -> tuple[str, int]:
     """Forty good lines and some blank ones, then `bad_line`, then more good
     lines; with the line number of `bad_line`."""

@@ -2,12 +2,17 @@
 
 import dataclasses
 import math
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xveckit
 from xveckit import backend, binio, model
 from xveckit.backend import read_embeddings, write_embeddings
 from xveckit.cli import RunConfig, main, parse_config, serialize_config, system_name
@@ -309,6 +314,13 @@ def test_score_and_evaluate_reject_a_trial_list_that_holds_a_pair_both_ways(
     assert main(["evaluate", "--config", str(cfg), "--scores", str(tmp_path / "s.txt"),
                  "--trials", str(tmp_path / "trials.txt")]) == 1
     assert "s.txt:3: a second score for trial u1 u0" in caplog.text
+    # a score file that holds each pair once scores trial 3 by the line
+    # of trial 1, so the trial list's own repeat is what evaluate names
+    caplog.clear()
+    (tmp_path / "s.txt").write_text("u0 u1 0.9\nu0 u2 0.1\nu2 u3 0.8\n")
+    assert main(["evaluate", "--config", str(cfg), "--scores", str(tmp_path / "s.txt"),
+                 "--trials", str(tmp_path / "trials.txt")]) == 1
+    assert "trial 3: repeats trial 1 (u0 u1)" in caplog.text
 
 
 def test_evaluate_names_the_first_trial_without_a_score(workspace, tmp_path, caplog):
@@ -323,7 +335,8 @@ def test_evaluate_names_the_first_trial_without_a_score(workspace, tmp_path, cap
 
 def test_evaluate_joins_scores_by_pair_not_by_line(workspace, tmp_path):
     # a score file in another order than the trial list, holding scores of
-    # pairs the list does not name, evaluates to the same bytes
+    # pairs the list does not name, evaluates to the same bytes, and so
+    # does a trial list that names half of its pairs test first
     _, cfg = workspace
     rng = np.random.default_rng(8)
     trials = backend.all_pairs_trials({f"u{i}": f"s{i // 3}" for i in range(9)})
@@ -334,11 +347,45 @@ def test_evaluate_joins_scores_by_pair_not_by_line(workspace, tmp_path):
     (tmp_path / "in_order.txt").write_text("".join(lines))
     (tmp_path / "shuffled.txt").write_text(
         "".join(shuffled[:5] + ["u1 ghost 9.5\n", "u0 ghost -3.0\n"] + shuffled[5:]))
-    for name in ("in_order", "shuffled"):
-        assert main(["evaluate", "--config", str(cfg), "--scores", str(tmp_path / f"{name}.txt"),
-                     "--trials", str(tmp_path / "trials.txt"),
+    flip = rng.permutation(len(trials))[:len(trials) // 2]
+    enroll, test = trials.enroll.copy(), trials.test.copy()
+    enroll[flip], test[flip] = trials.test[flip], trials.enroll[flip]
+    backend.write_trials(tmp_path / "flipped.txt",
+                         backend.Trials(trials.ids, enroll, test, trials.target))
+    for name, scored, listed in (("in_order", "in_order", "trials"),
+                                 ("shuffled", "shuffled", "trials"),
+                                 ("flipped", "in_order", "flipped")):
+        assert main(["evaluate", "--config", str(cfg),
+                     "--scores", str(tmp_path / f"{scored}.txt"),
+                     "--trials", str(tmp_path / f"{listed}.txt"),
                      "--out", str(tmp_path / f"{name}.csv")]) == 0
-    assert (tmp_path / "shuffled.csv").read_bytes() == (tmp_path / "in_order.csv").read_bytes()
+    expected = (tmp_path / "in_order.csv").read_bytes()
+    assert (tmp_path / "shuffled.csv").read_bytes() == expected
+    assert (tmp_path / "flipped.csv").read_bytes() == expected
+
+
+def test_text_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale open() defaults to ascii, so an id outside it
+    # must still be written and read back as utf-8
+    rng = np.random.default_rng(5)
+    ids = ["\u00fc0", "u1", "u2", "u3"]
+    write_embeddings(tmp_path / "e.xveb", {u: rng.standard_normal(4) for u in ids},
+                     {u: f"s{i // 2}" for i, u in enumerate(ids)})
+    (tmp_path / "trials.txt").write_bytes(
+        "\u00fc0 u1 target\n\u00fc0 u2 nontarget\nu2 u3 target\nu1 u3 nontarget\n"
+        .encode("utf-8"))
+    (tmp_path / "cfg.txt").write_text(MICRO)
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(xveckit.__file__).parents[1]))
+    common = ["--config", str(tmp_path / "cfg.txt"), "--trials", str(tmp_path / "trials.txt")]
+    for argv in (["score", "--embeddings", str(tmp_path / "e.xveb"),
+                  "--out", str(tmp_path / "scores.txt")],
+                 ["evaluate", "--scores", str(tmp_path / "scores.txt"),
+                  "--out", str(tmp_path / "metrics.csv")]):
+        run = subprocess.run([sys.executable, "-m", "xveckit.cli", *argv, *common], env=env,
+                             capture_output=True, text=True, errors="replace")
+        assert run.returncode == 0, run.stderr
+    assert (tmp_path / "scores.txt").read_bytes().decode("utf-8").startswith("\u00fc0 u1 ")
 
 
 def test_unknown_flag_exits_with_usage_error(workspace):

@@ -193,3 +193,44 @@ def test_every_config_key_is_set_by_some_test_or_benchmark():
     set_names = set().union(*(_set_names(ast.parse(path.read_text(encoding="utf-8")))
                               for path in CALLERS if SRC not in path.parents))
     assert [name for name in fields if name not in set_names] == []
+
+
+def _text_codec_uses(tree: ast.Module) -> list[str]:
+    """Each .decode( call, encoding= keyword and text-mode open (open(),
+    Path.open, read_text, write_text) of a module. A mode that is not a
+    literal string holding "b" counts as text."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "decode":
+            found.append(f"line {node.lineno}: .decode(")
+        found.extend(f"line {node.lineno}: encoding=" for k in node.keywords
+                     if k.arg == "encoding")
+        if name in ("read_text", "write_text"):
+            found.append(f"line {node.lineno}: {name}(")
+        elif name == "open":
+            # open(file, mode) takes the mode second, Path(file).open(mode) first
+            at = 1 if isinstance(func, ast.Name) else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[at] if len(node.args) > at else None)
+            if not (isinstance(mode, ast.Constant) and "b" in str(mode.value)):
+                found.append(f"line {node.lineno}: open in text mode")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"binio.py"}))
+def test_only_binio_decodes_or_opens_text(module):
+    # one codec: text is read through binio.open_text and written through
+    # binio.atomic_write, both utf-8 whatever the locale
+    assert _text_codec_uses(MODULES[module]) == []
+
+
+def test_the_text_codec_check_sees_binio():
+    # the check above passes on empty ground unless it finds binio's own
+    # decoders and text opens
+    found = _text_codec_uses(MODULES["binio.py"])
+    assert any(".decode(" in f for f in found) and any("encoding=" in f for f in found)
+    assert any("text mode" in f for f in found)
